@@ -37,10 +37,6 @@ def full_mask(size: int) -> int:
     return (1 << size) - 1
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def iter_bits(mask: int):
     """Yield set bit positions in increasing order."""
     while mask:

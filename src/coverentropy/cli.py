@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import (
     config as config_mod,
     dynamic_entropy,
@@ -204,6 +202,9 @@ def run(config_path, output_dir, seed=None, n_max=None, tolerance=None,
         cfg = config_mod.load_config(config_path)
     except config_mod.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    if n_max is not None and n_max < 2:
+        print(f"config error: n_max must be >= 2, not {n_max}", file=sys.stderr)
         return EXIT_CONFIG
     scale = 1.0 / math.log(2.0) if bits else 1.0
     use_seed = cfg.seed if seed is None else seed

@@ -16,20 +16,21 @@ from pathlib import Path
 
 from . import families, measures, systems
 
-TASK_KINDS = (
-    "static",
-    "count",
-    "h_minus",
-    "h_plus",
-    "h_top",
-    "power_check",
-    "factor_check",
-    "variational",
-    "minmax",
-    "bracket",
-    "ergodic_check",
-    "factor_cond",
-)
+# every task kind with the keys its runner reads without a default
+TASK_KINDS = {
+    "static": ("measure", "cover", "conditioner"),
+    "count": ("cover", "conditioner"),
+    "h_minus": ("measure", "cover", "conditioner"),
+    "h_plus": ("measure", "cover", "conditioner"),
+    "h_top": ("cover", "conditioner"),
+    "power_check": ("measure", "cover", "conditioner", "M"),
+    "factor_check": ("factor", "measure", "cover", "conditioner"),
+    "variational": ("cover", "conditioner"),
+    "minmax": ("measures", "cover", "conditioner"),
+    "bracket": ("measure", "cover", "conditioner"),
+    "ergodic_check": ("measure", "family", "conditioner"),
+    "factor_cond": ("measure", "factor", "cover"),
+}
 
 
 class ConfigError(ValueError):
@@ -148,6 +149,29 @@ def _build_factor_map(sys, desc) -> systems.FactorMap:
         raise ConfigError("INVALID_SYSTEM", str(e)) from e
 
 
+def _check_task(task, i, sys):
+    if not isinstance(task, dict):
+        raise ConfigError("BAD_CONFIG", "a task must be an object", i)
+    kind = task.get("kind")
+    if kind not in TASK_KINDS:
+        raise ConfigError("BAD_CONFIG", f"unknown task kind {kind!r}", i)
+    missing = [key for key in TASK_KINDS[kind] if key not in task]
+    if missing:
+        raise ConfigError(
+            "BAD_CONFIG", f"{kind} task is missing {', '.join(missing)}", i
+        )
+    if kind == "variational" and not sys.is_word_system:
+        raise ConfigError("BAD_CONFIG", "variational needs a word system", i)
+    grid = task.get("measures")
+    if kind == "minmax" and not (isinstance(grid, list) and grid):
+        raise ConfigError("BAD_CONFIG", "minmax needs a non-empty measures list", i)
+    n_max = task.get("n_max")
+    if n_max is not None and (type(n_max) is not int or n_max < 2):
+        raise ConfigError(
+            "BAD_CONFIG", f"n_max must be an integer >= 2, not {n_max!r}", i
+        )
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -178,10 +202,7 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(tasks, list):
         raise ConfigError("BAD_CONFIG", "tasks must be a list")
     for i, task in enumerate(tasks):
-        if not isinstance(task, dict) or task.get("kind") not in TASK_KINDS:
-            raise ConfigError(
-                "BAD_CONFIG", f"unknown task kind {task.get('kind')!r}", i
-            )
+        _check_task(task, i, sys)
     return ExperimentConfig(
         system=sys,
         measures=meas,

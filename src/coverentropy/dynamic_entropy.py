@@ -11,12 +11,9 @@ faster; Markov chains reach the exact rate at N = 2).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import families, measures, static_entropy, systems
 from .families import PARTITION, SetFamily

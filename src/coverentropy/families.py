@@ -11,7 +11,6 @@ part of a family's identity.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 

@@ -132,6 +132,8 @@ def stationary_of(P) -> np.ndarray:
 
 
 def _check_rows_stochastic(P: np.ndarray):
+    if not np.all(np.isfinite(P)):
+        raise MeasureError("transition matrix has a non-finite entry")
     for i, row in enumerate(P):
         if np.any(row < 0):
             raise MeasureError(f"negative transition probability in row {i}")
@@ -161,7 +163,11 @@ class InvariantMeasure:
             t = self.system.transition
             if np.any((P > 0) & ~np.array(t, dtype=bool)):
                 raise MeasureError("P positive on a forbidden transition")
-            if np.any(pi < -1e-15) or abs(pi.sum() - 1.0) > 1e-10:
+            if (
+                not np.all(np.isfinite(pi))
+                or np.any(pi < -1e-15)
+                or abs(pi.sum() - 1.0) > 1e-10
+            ):
                 raise MeasureError("pi is not a probability vector")
             if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
                 raise MeasureError("pi is not stationary for P (tolerance 1e-10)")
@@ -172,7 +178,11 @@ class InvariantMeasure:
             if self.system.kind != systems.PERMUTATION:
                 raise MeasureError("cycle measures live on permutation systems")
             w = self.point_weights
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-10:
+            if (
+                not np.all(np.isfinite(w))
+                or np.any(w < 0)
+                or abs(w.sum() - 1.0) > 1e-10
+            ):
                 raise MeasureError("point weights are not a probability vector")
             for cyc in systems.permutation_cycles(self.system):
                 vals = w[list(cyc)]

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize
 
 from . import dynamic_entropy, families, measures, static_entropy, systems
-from .dynamic_entropy import EntropyEstimate, RATE_NODE_BUDGET_DEFAULT
+from .dynamic_entropy import RATE_NODE_BUDGET_DEFAULT
 from .families import SetFamily
 from .systems import FactorMap
 

@@ -23,11 +23,12 @@ from .families import PARTITION, SetFamily
 EXACT = "exact"
 BRANCH_AND_BOUND = "branch_and_bound"
 HEURISTIC = "heuristic_upper_bound"
-_METHOD_RANK = {EXACT: 0, BRANCH_AND_BOUND: 1, HEURISTIC: 2}
 
 ROUTE_TOL = 1e-9
 NODE_BUDGET_DEFAULT = 10**7
 ROUTE_C_AUTO_BUDGET = 2048
+# largest len(U) * universe size for which the dense membership matrix is built
+DENSE_MATRIX_CELLS = 3 * 10**7
 
 
 class EntropyError(ValueError):
@@ -51,13 +52,10 @@ class EntropyValue:
     certificate: Optional[float]  # gap bound; 0 for exact searches, None unknown
 
     def __post_init__(self):
+        if math.isnan(self.nats):
+            raise EntropyError("entropy is NaN")
         if self.nats < -1e-12:
             raise EntropyError(f"negative entropy {self.nats}")
-
-
-def _combine_methods(methods) -> str:
-    worst = max(methods, key=_METHOD_RANK.__getitem__, default=EXACT)
-    return worst
 
 
 def shannon(weights) -> EntropyValue:
@@ -74,13 +72,7 @@ def shannon(weights) -> EntropyValue:
 
 
 def _element_masses(fam: SetFamily, weights: np.ndarray) -> np.ndarray:
-    size = fam.universe_size
-    return np.array(
-        [
-            float(weights[bitsets.bools_from_mask(m, size)].sum()) if m else 0.0
-            for m in fam.elements
-        ]
-    )
+    return np.array([_mask_mass(m, weights) for m in fam.elements])
 
 
 def _mask_mass(mask: int, weights: np.ndarray) -> float:
@@ -152,18 +144,18 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
     chosen = 0
     # unit propagation: an element covered by exactly one set forces that set
     while universe:
-        forced = set()
-        for w in bitsets.iter_bits(universe):
-            bit = 1 << w
-            holders = [i for i, s in enumerate(sets) if s & bit]
-            if not holders:
-                raise EntropyError("atom not coverable")
-            if len(holders) == 1:
-                forced.add(holders[0])
-        if not forced:
+        once = twice = 0
+        for s in sets:
+            twice |= once & s
+            once |= s
+        if universe & ~once:
+            raise EntropyError("atom not coverable")
+        lonely = universe & ~twice
+        if not lonely:
             break
-        for i in forced:
-            universe &= ~sets[i]
+        forced = [s for s in sets if s & lonely]
+        for s in forced:
+            universe &= ~s
         chosen += len(forced)
         sets = [s & universe for s in sets]
         sets = [s for s in dict.fromkeys(sets) if s]
@@ -179,14 +171,13 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
             kept.append(s)
     sets = kept
 
-    best = [len(sets)]
     # greedy upper bound
     ucov, cnt = universe, 0
     while ucov:
         s = max(sets, key=lambda s: (s & ucov).bit_count())
         ucov &= ~s
         cnt += 1
-    best[0] = cnt
+    best = [cnt]
 
     max_size = max(s.bit_count() for s in sets)
 
@@ -266,20 +257,18 @@ class _ExtSolution:
 
 
 def _greedy_order_value(memb: np.ndarray, w: np.ndarray, order_rule: str, rng=None):
-    """One ordering heuristic; returns (value, cells as compact bool arrays,
-    order).  memb is (d, m) bool over positive-weight words."""
+    """One ordering heuristic ("mass": largest residual mass first, "static"
+    or "random"); returns (value, cells as compact bool arrays).  memb is
+    (d, m) bool over positive-weight words."""
     d, m = memb.shape
     covered = np.zeros(m, dtype=bool)
     value = 0.0
     cells = [None] * d
     remaining = list(range(d))
-    if order_rule == "mass":
-        pass  # dynamic: max residual mass first
-    elif order_rule == "static":
+    if order_rule == "static":
         remaining.sort(key=lambda i: -float(w[memb[i]].sum()))
     elif order_rule == "random":
         rng.shuffle(remaining)
-    order = []
     while remaining:
         if order_rule == "mass":
             caps = [float(w[memb[i] & ~covered].sum()) for i in remaining]
@@ -292,8 +281,7 @@ def _greedy_order_value(memb: np.ndarray, w: np.ndarray, order_rule: str, rng=No
         cmass = float(w[cell].sum())
         value += phi(cmass)
         covered |= cell
-        order.append(pick)
-    return value, cells, order
+    return value, cells
 
 
 def _ext_minimize_component(
@@ -309,7 +297,7 @@ def _ext_minimize_component(
 
     incumbent, inc_cells = math.inf, None
     for rule in ("mass", "static", "random", "random"):
-        val, cells, _ = _greedy_order_value(memb, w, rule, rng)
+        val, cells = _greedy_order_value(memb, w, rule, rng)
         if val < incumbent - 1e-15:
             incumbent, inc_cells = val, cells
 
@@ -409,13 +397,11 @@ def _ext_minimize_component(
     return incumbent, inc_cells, closed, nodes
 
 
-def _solve_compact(
-    memb: np.ndarray, w: np.ndarray, node_budget: int, rng
-) -> tuple[float, list[np.ndarray], bool, int]:
-    """Exact ordering minimization on a compact universe: split the rows of
-    `memb` into positive-overlap components (their ordered-difference masses
-    do not interact) and solve each.  Returns per-row cell indicators."""
-    d, m = memb.shape
+def _overlap_components(memb: np.ndarray, w: np.ndarray) -> list[list[int]]:
+    """The rows of `memb` grouped into positive-overlap components: rows i
+    and j are linked when w[memb[i] & memb[j]].sum() > 0.  Components come in
+    order of their smallest row, rows ascending inside each."""
+    d = len(memb)
     parent = list(range(d))
 
     def find(x):
@@ -424,21 +410,34 @@ def _solve_compact(
             x = parent[x]
         return x
 
-    for i in range(d):
-        for j in range(i + 1, d):
-            if float(w[memb[i] & memb[j]].sum()) > 0.0:
-                a, b = find(i), find(j)
-                if a != b:
-                    parent[a] = b
+    # two rows overlap positively iff they share a positive-weight word, and
+    # chaining each word's consecutive holders connects all of them
+    cols, rows = np.nonzero(memb[:, w > 0.0].T)
+    link = np.nonzero(cols[1:] == cols[:-1])[0]
+    for i, j in zip(rows[link].tolist(), rows[link + 1].tolist()):
+        a, b = find(i), find(j)
+        if a != b:
+            parent[a] = b
     comps: dict[int, list[int]] = {}
     for i in range(d):
         comps.setdefault(find(i), []).append(i)
+    return list(comps.values())
 
+
+def _solve_compact(
+    memb: np.ndarray, w: np.ndarray, node_budget: int, rng
+) -> tuple[float, list[np.ndarray], bool, int]:
+    """Exact ordering minimization on a compact universe: split the rows of
+    `memb` into positive-overlap components (their ordered-difference masses
+    do not interact) and solve each.  Returns per-row cell indicators."""
+    d, m = memb.shape
     value = 0.0
     closed = True
     nodes = 0
     cells = [np.zeros(m, dtype=bool) for _ in range(d)]
-    for comp in comps.values():
+    # the "random" greedy passes draw from the shared rng component by
+    # component, so this order fixes the heuristic upper bounds
+    for comp in _overlap_components(memb, w):
         sup = memb[comp].any(axis=0) & (w > 0.0)
         sub = memb[comp][:, sup]
         ws = w[sup]
@@ -534,7 +533,7 @@ def _cover_entropy_full(mu_or_cond, U: SetFamily, node_budget: int):
         masses = _element_masses(U, w)
         val = float(sum(phi(float(x)) for x in masses))
         return val, list(U.elements), EXACT
-    mat = U.matrix() if len(U) * U.universe_size <= 3 * 10**7 else None
+    mat = U.matrix() if len(U) * U.universe_size <= DENSE_MATRIX_CELLS else None
     sol = _ext_minimize(w, list(U.elements), node_budget, matrix=mat)
     method = BRANCH_AND_BOUND if sol.closed else HEURISTIC
     return sol.value, sol.cells, method
@@ -565,8 +564,7 @@ def conditional_cover_entropy(
     base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
 
     # trace masses of every element on every atom, in one sweep
-    big = len(U) * size > 3 * 10**7
-    mat = None if big else U.matrix()
+    mat = U.matrix() if len(U) * size <= DENSE_MATRIX_CELLS else None
     mass_mat = np.empty((len(U), len(beta)))
     for e, m in enumerate(U.elements):
         row = mat[e] if mat is not None else bitsets.bools_from_mask(m, size)

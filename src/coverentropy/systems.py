@@ -217,11 +217,6 @@ def power_system(sys: SymbolicSystem, M: int) -> SymbolicSystem:
     return sft(rows)
 
 
-def power_letter_words(sys: SymbolicSystem, M: int) -> list[tuple[int, ...]]:
-    """The base M-words behind each power-system letter, in letter order."""
-    return admissible_words(sys, M)
-
-
 def permutation_power_table(sys: SymbolicSystem, n: int) -> np.ndarray:
     """Array p with p[i] = T^n(i) for a permutation system."""
     if sys.kind != PERMUTATION:

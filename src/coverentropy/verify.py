@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,16 +105,6 @@ def build_point_instance(inst: dict):
         for elems in inst["partitions"]
     ]
     return sys, mu, covers, parts
-
-
-def _partition_cells_valid(elems, n):
-    seen = set()
-    for e in elems:
-        for x in e:
-            if x in seen:
-                return False
-            seen.add(x)
-    return seen == set(range(n))
 
 
 def shrink_point_instance(inst: dict, still_fails) -> dict:

@@ -185,3 +185,48 @@ def test_main_entrypoint_run(tmp_path):
     path = write_config(tmp_path, [])
     code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "static", "measure": "parry", "cover": "overlap"},
+        {"kind": "h_minus", "cover": "letters", "conditioner": "whole"},
+        {"kind": "minmax", "cover": "overlap", "conditioner": "letters"},
+        {"kind": "minmax", "cover": "overlap", "conditioner": "letters",
+         "measures": []},
+        {"kind": "h_top", "cover": "letters", "conditioner": "whole", "n_max": 1},
+        {"kind": "h_top", "cover": "letters", "conditioner": "whole", "n_max": "6"},
+        ["h_top", "letters", "whole"],
+    ],
+)
+def test_invalid_task_exits_2(tmp_path, capsys, task):
+    path = write_config(tmp_path, [task])
+    assert cli.run(path, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "BAD_CONFIG" in err and "task 0" in err
+
+
+def test_variational_on_permutation_system_exits_2(tmp_path, capsys):
+    doc = {
+        "system": {"kind": "permutation", "mapping": [1, 0, 2]},
+        "families": {
+            "pair": {"kind": "cover", "elements": [[0, 1], [1, 2]]},
+            "whole": {"kind": "partition", "elements": [[0, 1, 2]]},
+        },
+        "tasks": [{"kind": "variational", "cover": "pair", "conditioner": "whole",
+                   "n_max": 3}],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(path, tmp_path / "out") == 2
+    assert "BAD_CONFIG" in capsys.readouterr().err
+
+
+def test_n_max_override_below_two_exits_2(tmp_path):
+    tasks = [{"kind": "h_top", "cover": "letters", "conditioner": "whole",
+              "n_max": 5}]
+    path = write_config(tmp_path, tasks)
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--n-max", "1"])
+    assert code == 2

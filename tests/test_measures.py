@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coverentropy as ce
-from coverentropy import measures, systems
+from coverentropy import measures, static_entropy, systems
 
 
 def test_stationary_examples():
@@ -178,3 +178,25 @@ def test_pushforward_measure_weights(gm, parry):
     m1 = ce.cylinder_mass(parry, (0, 1)) + ce.cylinder_mass(parry, (1, 0))
     assert w == pytest.approx([m0, m1], abs=1e-14)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(full2, bad):
+    with pytest.raises(measures.MeasureError):
+        ce.bernoulli(full2, [bad, 0.5])
+    with pytest.raises(measures.MeasureError):
+        ce.markov(full2, [[bad, 0.5], [0.5, 0.5]])
+    with pytest.raises(measures.MeasureError):
+        ce.markov(full2, [[0.5, 0.5], [0.5, 0.5]], pi=[bad, 0.5])
+    sys = ce.permutation([1, 0, 2])
+    with pytest.raises(measures.MeasureError):
+        ce.cycle_measure(sys, [bad, 0.5])
+    with pytest.raises(measures.MeasureError):
+        measures.InvariantMeasure(
+            measures.PERMUTATION, sys, point_weights=np.array([bad, bad, 0.5])
+        )
+
+
+def test_entropy_value_refuses_nan():
+    with pytest.raises(static_entropy.EntropyError):
+        static_entropy.EntropyValue(math.nan, static_entropy.EXACT, 0.0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import coverentropy as ce
 from coverentropy import bitsets, measures, static_entropy
@@ -92,6 +94,73 @@ def test_covering_number_matches_exhaustive_randoms():
         U = ce.family_of_points(sys, elems, "cover")
         X = ce.trivial_partition(sys)
         assert ce.covering_number(U, X) == ce.covering_number_exhaustive(U, X)
+
+
+def test_covering_number_of_partition_is_largest_cell_count():
+    """For a partition U, N(U|beta) is the largest number of U-cells that
+    meet one atom of beta."""
+
+    def cells(labels):
+        return [np.nonzero(labels == c)[0].tolist() for c in np.unique(labels)]
+
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(2, 11))
+        sys = ce.permutation(list(rng.permutation(n)))
+        lab_u = rng.integers(0, int(rng.integers(1, 8)), size=n)
+        lab_b = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        U = ce.family_of_points(sys, cells(lab_u), "partition")
+        beta = ce.family_of_points(sys, cells(lab_b), "partition")
+        expected = max(len(set(lab_u[lab_b == b])) for b in np.unique(lab_b))
+        assert ce.covering_number(U, beta) == expected
+        assert ce.covering_number_exhaustive(U, beta) == expected
+    full2 = ce.full_shift(2)
+    for window in (3, 10):
+        U = ce.cylinder_partition(full2, window)
+        assert ce.covering_number(U, ce.trivial_partition(full2, window)) == 2**window
+        assert ce.covering_number(U, U) == 1
+
+
+def test_min_cover_size_rejects_uncoverable_atoms():
+    # no set meets the atom at all
+    with pytest.raises(static_entropy.EntropyError):
+        static_entropy._min_cover_size(0b100, [0b011, 0b001])
+    # sets force part of the atom, but word 3 lies in none of them
+    with pytest.raises(static_entropy.EntropyError):
+        static_entropy._min_cover_size(0b1111, [0b0001, 0b0110, 0b0010])
+    assert static_entropy._min_cover_size(0b0111, [0b0001, 0b0110, 0b0010]) == 2
+
+
+def _pairwise_components(memb, w):
+    """Reference: rows linked when their common words carry positive mass,
+    components listed by smallest row with rows ascending."""
+    d = len(memb)
+    seen, comps = set(), []
+    for start in range(d):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in range(d):
+                if j not in comp and w[memb[i] & memb[j]].sum() > 0.0:
+                    comp.add(j)
+                    stack.append(j)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_overlap_components_match_pairwise_definition(data):
+    d = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(1, 8))
+    memb = data.draw(hnp.arrays(bool, (d, m)))
+    w = data.draw(
+        hnp.arrays(float, m, elements=st.sampled_from([0.0, 0.0, 1e-300, 0.125, 0.5]))
+    )
+    assert static_entropy._overlap_components(memb, w) == _pairwise_components(memb, w)
 
 
 def test_cover_entropy_partition_is_shannon(three_points):
