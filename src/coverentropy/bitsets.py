@@ -33,6 +33,12 @@ def indices_from_mask(mask: int, size: int) -> np.ndarray:
     return np.nonzero(bools_from_mask(mask, size))[0]
 
 
+def preimage(mask: int, size: int, index_map: np.ndarray) -> int:
+    """The positions j whose image index_map[j] lies in `mask`, a set over a
+    universe of `size` elements."""
+    return mask_from_bools(bools_from_mask(mask, size)[index_map])
+
+
 def full_mask(size: int) -> int:
     return (1 << size) - 1
 

@@ -11,7 +11,7 @@ its invariants).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import families, measures, systems
@@ -49,7 +49,6 @@ class ExperimentConfig:
     factor_maps: dict
     tasks: list[dict]
     seed: int = 0
-    defaults: dict = field(default_factory=dict)
 
     def measure(self, name: str, task_index=None):
         return _resolve(self.measures, name, "measure", task_index)
@@ -210,5 +209,4 @@ def load_config(path) -> ExperimentConfig:
         factor_maps=maps,
         tasks=tasks,
         seed=int(doc.get("seed", 0)),
-        defaults=doc.get("defaults", {}),
     )

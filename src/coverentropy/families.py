@@ -4,8 +4,11 @@ finer-partition enumeration, cover distance, and pullbacks.
 
 A family lives on one carrier: either the admissible words of a word system
 at a fixed window length, or the points of a permutation system.  Elements
-are bitmasks over that carrier's universe (see `bitsets`); element order is
-part of a family's identity.
+are bitmasks over that carrier's universe (see `bitsets`); the masks and
+their order are a family's identity.  The only derived view is the cached
+`SetFamily.incidence()`, the (element, word) pairs of every membership:
+numpy code indexes it instead of a dense element-by-word matrix, so memory
+grows with the number of memberships, not with elements times words.
 """
 
 from __future__ import annotations
@@ -86,30 +89,35 @@ class SetFamily:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def matrix(self) -> np.ndarray:
-        """Boolean membership matrix of shape (elements, universe)."""
-        mat = self._cache.get("matrix")
-        if mat is None:
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every membership as parallel read-only arrays (element index,
+        universe index), sorted by element and then by universe index."""
+        inc = self._cache.get("incidence")
+        if inc is None:
             size = self.universe_size
-            mat = np.stack(
-                [bitsets.bools_from_mask(m, size) for m in self.elements]
-            )
-            self._cache["matrix"] = mat
-        return mat
+            elems: list[int] = []
+            words: list[int] = []
+            for i, m in enumerate(self.elements):
+                # walking the bits costs one big-int step per set bit, an
+                # unpack a fixed numpy overhead: walk sparse masks (cylinder
+                # partitions, small carriers), unpack dense ones
+                if m.bit_count() <= 16:
+                    bits = list(bitsets.iter_bits(m))
+                else:
+                    bits = bitsets.indices_from_mask(m, size).tolist()
+                elems += [i] * len(bits)
+                words += bits
+            inc = (np.array(elems, dtype=np.int64), np.array(words, dtype=np.int64))
+            for arr in inc:
+                arr.flags.writeable = False
+            self._cache["incidence"] = inc
+        return inc
 
     def element_words(self, m: int) -> list[tuple[int, ...]]:
         if not self.system.is_word_system:
             raise FamilyError("point-carrier family has no words")
         uni = systems.word_universe(self.system, self.window)
         return [uni.word(i) for i in bitsets.iter_bits(self.elements[m])]
-
-    def replace(self, *, kind=None, elements=None) -> "SetFamily":
-        return SetFamily(
-            self.system,
-            self.window,
-            self.kind if kind is None else kind,
-            self.elements if elements is None else tuple(elements),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +199,9 @@ def partition_labels(fam: SetFamily) -> np.ndarray:
         raise FamilyError("labels exist for partitions only")
     lab = fam._cache.get("labels")
     if lab is None:
-        size = fam.universe_size
-        lab = np.full(size, -1, dtype=np.int64)
-        for i, m in enumerate(fam.elements):
-            if m:
-                lab[bitsets.bools_from_mask(m, size)] = i
+        elems, words = fam.incidence()
+        lab = np.empty(fam.universe_size, dtype=np.int64)
+        lab[words] = elems
         fam._cache["labels"] = lab
     return lab
 
@@ -245,11 +251,7 @@ def view_in_window(U: SetFamily, offset: int, new_window: int) -> SetFamily:
     target = systems.word_universe(U.system, new_window)
     base = systems.word_universe(U.system, L)
     idx = base.indices_of_rows(target.array[:, offset : offset + L])
-    # per-element unpack keeps memory linear even for very large partitions
-    masks = tuple(
-        bitsets.mask_from_bools(bitsets.bools_from_mask(m, base.count)[idx])
-        for m in U.elements
-    )
+    masks = tuple(bitsets.preimage(m, base.count, idx) for m in U.elements)
     return SetFamily(U.system, new_window, U.kind, masks)
 
 
@@ -277,21 +279,13 @@ def _position_membership(U: SetFamily, offsets, new_window) -> list[list[int]]:
     """For each offset, the per-element membership masks over the target
     universe (word carriers) or over points after that many backward steps
     (point carriers, offsets meaning T^{-n})."""
-    out = []
     if U.system.is_word_system:
-        target = systems.word_universe(U.system, new_window)
-        base = systems.word_universe(U.system, U.window)
-        mat = U.matrix()
-        for off in offsets:
-            idx = base.indices_of_rows(target.array[:, off : off + U.window])
-            out.append([bitsets.mask_from_bools(mat[m][idx]) for m in range(len(U))])
-    else:
-        mat = U.matrix()
-        for n in offsets:
-            table = systems.permutation_power_table(U.system, n)
-            out.append(
-                [bitsets.mask_from_bools(mat[m][table]) for m in range(len(U))]
-            )
+        return [list(view_in_window(U, off, new_window).elements) for off in offsets]
+    size = U.universe_size
+    out = []
+    for n in offsets:
+        table = systems.permutation_power_table(U.system, n)
+        out.append([bitsets.preimage(m, size, table) for m in U.elements])
     return out
 
 
@@ -375,9 +369,10 @@ class UStarEnumeration:
         if self.refused:
             raise UStarBudgetExceeded(self.total, self.budget)
         U = self.family
-        size = U.universe_size
-        mat = U.matrix()
-        choices = [list(np.nonzero(mat[:, w])[0]) for w in range(size)]
+        elems, words = U.incidence()
+        order = np.argsort(words, kind="stable")
+        cuts = np.nonzero(np.diff(words[order]))[0] + 1
+        choices = np.split(elems[order], cuts)
         fixed = [0] * len(U)
         free_words = []
         for w, ch in enumerate(choices):
@@ -393,8 +388,7 @@ class UStarEnumeration:
 
 
 def ustar_enumerate(U: SetFamily, budget: int = USTAR_BUDGET_DEFAULT) -> UStarEnumeration:
-    mat = U.matrix()
-    counts = mat.sum(axis=0)
+    counts = np.bincount(U.incidence()[1], minlength=U.universe_size)
     if np.any(counts == 0):
         raise FamilyError("carrier element not covered")  # unreachable by invariant
     total = 1
@@ -420,11 +414,8 @@ def family_delta(mu, U: SetFamily, V: SetFamily) -> FamilyDelta:
         raise FamilyError("cover distance needs equal element counts")
     w = measures.family_weights(mu, U)
     total = 0.0
-    size = U.universe_size
     for u, v in zip(U.elements, V.elements):
-        diff = u ^ v
-        if diff:
-            total += float(w[bitsets.bools_from_mask(diff, size)].sum())
+        total += measures.mask_mass(w, u ^ v)
     return FamilyDelta(total)
 
 
@@ -436,6 +427,6 @@ def pullback(phi: FactorMap, U: SetFamily) -> SetFamily:
     if not U.system.is_word_system:
         raise FamilyError("pullback works on word carriers")
     idx = phi.image_indices(U.window)
-    mat = U.matrix()
-    masks = tuple(bitsets.mask_from_bools(mat[m][idx]) for m in range(len(U)))
+    size = U.universe_size
+    masks = tuple(bitsets.preimage(m, size, idx) for m in U.elements)
     return SetFamily(phi.domain, U.window + phi.block_length - 1, U.kind, masks)

@@ -311,11 +311,15 @@ def family_weights(mu, family) -> np.ndarray:
     return weights_for(mu, family.system, family.window)
 
 
-def set_mass(mu, system: SymbolicSystem, window: Optional[int], mask: int) -> float:
-    w = weights_for(mu, system, window)
+def mask_mass(weights: np.ndarray, mask: int) -> float:
+    """Total weight of the universe elements in `mask`."""
     if mask == 0:
         return 0.0
-    return float(w[bitsets.bools_from_mask(mask, len(w))].sum())
+    return float(weights[bitsets.bools_from_mask(mask, len(weights))].sum())
+
+
+def set_mass(mu, system: SymbolicSystem, window: Optional[int], mask: int) -> float:
+    return mask_mass(weights_for(mu, system, window), mask)
 
 
 def condition_on(
@@ -323,10 +327,10 @@ def condition_on(
 ) -> ConditionalMeasure:
     """μ_B: weights w ↦ μ([w])/μ(B) inside B; the Zero measure if μ(B)=0."""
     w = weights_for(mu, system, window)
-    sel = bitsets.bools_from_mask(mask, len(w))
-    base = float(w[sel].sum())
+    base = mask_mass(w, mask)
     out = np.zeros_like(w)
     if base > 0.0:
+        sel = bitsets.bools_from_mask(mask, len(w))
         out[sel] = w[sel] / base
     else:
         base = 0.0

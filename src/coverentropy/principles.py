@@ -482,8 +482,6 @@ def ergodic_additivity_check(
         tolerance = max(2 * mixed_est.stabilization_gap, 1e-6)
     if not concavity_ok:
         verdict = VIOLATED
-    elif is_partition:
-        verdict = HOLDS if gap <= tolerance else BRACKET_OPEN
     else:
         verdict = HOLDS if gap <= tolerance else BRACKET_OPEN
     return PrincipleReport(

@@ -27,8 +27,6 @@ HEURISTIC = "heuristic_upper_bound"
 ROUTE_TOL = 1e-9
 NODE_BUDGET_DEFAULT = 10**7
 ROUTE_C_AUTO_BUDGET = 2048
-# largest len(U) * universe size for which the dense membership matrix is built
-DENSE_MATRIX_CELLS = 3 * 10**7
 
 
 class EntropyError(ValueError):
@@ -72,13 +70,8 @@ def shannon(weights) -> EntropyValue:
 
 
 def _element_masses(fam: SetFamily, weights: np.ndarray) -> np.ndarray:
-    return np.array([_mask_mass(m, weights) for m in fam.elements])
-
-
-def _mask_mass(mask: int, weights: np.ndarray) -> float:
-    if mask == 0:
-        return 0.0
-    return float(weights[bitsets.bools_from_mask(mask, len(weights))].sum())
+    elems, words = fam.incidence()
+    return np.bincount(elems, weights=weights[words], minlength=len(fam))
 
 
 def conditional_entropy(mu, alpha: SetFamily, beta: SetFamily) -> EntropyValue:
@@ -104,9 +97,9 @@ def conditional_entropy(mu, alpha: SetFamily, beta: SetFamily) -> EntropyValue:
         base = float(w[sel].sum())
         if base <= 0.0:
             continue
-        cell_masses = np.bincount(lab_a[sel], weights=w[sel], minlength=len(alpha))
+        cell_masses = np.bincount(lab_a[sel], weights=w[sel])
         route_atoms += base * float(
-            sum(phi(float(x) / base) for x in cell_masses if x > 0.0)
+            sum(phi(float(x) / base) for x in cell_masses[cell_masses > 0.0])
         )
 
     if abs(route_join - route_atoms) > ROUTE_TOL:
@@ -119,11 +112,11 @@ def conditional_entropy(mu, alpha: SetFamily, beta: SetFamily) -> EntropyValue:
 def _conditional_entropy_atoms(w, alpha_masks, beta_masks) -> float:
     total = 0.0
     for b in beta_masks:
-        base = _mask_mass(b, w)
+        base = measures.mask_mass(w, b)
         if base <= 0.0:
             continue
         for a in alpha_masks:
-            cell = _mask_mass(a & b, w)
+            cell = measures.mask_mass(w, a & b)
             if cell > 0.0:
                 total += base * phi(cell / base)
     return total
@@ -208,12 +201,17 @@ def covering_number(U: SetFamily, beta: SetFamily) -> int:
     if beta.kind != PARTITION:
         raise EntropyError("conditioner must be a partition")
     families._require_same_carrier(U, beta)
-    out = 0
-    for b in beta.elements:
-        if b == 0:
-            continue
-        out = max(out, _min_cover_size(b, list(U.elements)))
-    return out
+    # each atom is handed only the elements that meet it; every nonempty atom
+    # is met because U covers the carrier
+    elems, words = U.incidence()
+    atoms = families.partition_labels(beta)[words]
+    meeting: dict[int, dict[int, None]] = {}
+    for atom, e in zip(atoms.tolist(), elems.tolist()):
+        meeting.setdefault(atom, {})[e] = None  # elements ascending, once each
+    return max(
+        _min_cover_size(beta.elements[atom], [U.elements[e] for e in met])
+        for atom, met in meeting.items()
+    )
 
 
 def covering_number_exhaustive(U: SetFamily, beta: SetFamily) -> int:
@@ -248,14 +246,6 @@ def covering_number_exhaustive(U: SetFamily, beta: SetFamily) -> int:
 # cover entropy: exact minimization over ordered-difference partitions
 
 
-@dataclass
-class _ExtSolution:
-    value: float
-    cells: list[int]  # global masks aligned with the input elements
-    closed: bool      # True when the search certified the minimum
-    nodes: int
-
-
 def _greedy_order_value(memb: np.ndarray, w: np.ndarray, order_rule: str, rng=None):
     """One ordering heuristic ("mass": largest residual mass first, "static"
     or "random"); returns (value, cells as compact bool arrays).  memb is
@@ -284,7 +274,7 @@ def _greedy_order_value(memb: np.ndarray, w: np.ndarray, order_rule: str, rng=No
     return value, cells
 
 
-def _ext_minimize_component(
+def _minimize_component(
     memb: np.ndarray, w: np.ndarray, node_budget: int, rng
 ) -> tuple[float, list[np.ndarray], bool, int]:
     """Exact minimum of sum(phi(cell mass)) over orderings of one overlap
@@ -441,7 +431,7 @@ def _solve_compact(
         sup = memb[comp].any(axis=0) & (w > 0.0)
         sub = memb[comp][:, sup]
         ws = w[sup]
-        val, comp_cells, comp_closed, comp_nodes = _ext_minimize_component(
+        val, comp_cells, comp_closed, comp_nodes = _minimize_component(
             sub, ws, node_budget, rng
         )
         value += val
@@ -454,89 +444,14 @@ def _solve_compact(
     return value, cells, closed, nodes
 
 
-def _ext_minimize(
-    weights: np.ndarray,
-    masks: list[int],
-    node_budget: int,
-    seed: int = 0,
-    matrix: Optional[np.ndarray] = None,
-) -> _ExtSolution:
-    """Minimize sum(phi(mass of ordered-difference cell)) over all orderings
-    of the elements; equals the minimum over all finer partitions."""
-    rng = np.random.default_rng(seed)
-    n_univ = len(weights)
-    if matrix is not None:
-        masses = matrix @ weights
-    else:
-        masses = [_mask_mass(m, weights) for m in masks]
-    active = [i for i, x in enumerate(masses) if x > 0.0]
-    cell_masks = [0] * len(masks)
-    if not active:
-        return _ExtSolution(0.0, _assemble_cells(masks, cell_masks, n_univ), True, 0)
-
-    union = 0
-    for i in active:
-        union |= masks[i]
-    sel = bitsets.bools_from_mask(union, n_univ) & (weights > 0.0)
-    idx = np.nonzero(sel)[0]
-    if matrix is not None:
-        memb = matrix[active][:, idx]
-    else:
-        memb = np.stack(
-            [bitsets.bools_from_mask(masks[i], n_univ)[idx] for i in active]
-        )
-    value, cells, closed, nodes = _solve_compact(
-        memb, weights[idx], node_budget, rng
-    )
-    for i, cell in zip(active, cells):
-        if cell.any():
-            cell_masks[i] = bitsets.mask_from_indices(idx[cell])
-    return _ExtSolution(value, _assemble_cells(masks, cell_masks, n_univ), closed, nodes)
-
-
-def _assemble_cells(masks: list[int], cell_masks: list[int], n_univ: int) -> list[int]:
-    """Make the per-element cells disjoint and exhaustive: first claim wins
-    on (necessarily null) overlaps, and any word left over joins the cell of
-    its first covering element."""
-    taken = 0
-    out = []
-    for m, cmask in zip(masks, cell_masks):
-        cmask = cmask & m & ~taken
-        out.append(cmask)
-        taken |= cmask
-    rest = bitsets.full_mask(n_univ) & ~taken
-    if rest:
-        for j, m in enumerate(masks):
-            grab = rest & m
-            if grab:
-                out[j] |= grab
-                rest &= ~grab
-                if rest == 0:
-                    break
-    return out
-
-
 def cover_entropy(
     mu_or_cond, U: SetFamily, node_budget: int = NODE_BUDGET_DEFAULT
 ) -> EntropyValue:
-    """H(U) under a (possibly conditional) measure: the minimum Shannon
-    entropy over ordered-difference partitions of U, solved exactly unless
-    the search budget runs out (then a flagged upper bound)."""
-    value, _, method = _cover_entropy_full(mu_or_cond, U, node_budget)
-    cert = None if method == HEURISTIC else 0.0
-    return EntropyValue(value, method, cert)
-
-
-def _cover_entropy_full(mu_or_cond, U: SetFamily, node_budget: int):
-    w = measures.family_weights(mu_or_cond, U)
-    if U.kind == PARTITION:
-        masses = _element_masses(U, w)
-        val = float(sum(phi(float(x)) for x in masses))
-        return val, list(U.elements), EXACT
-    mat = U.matrix() if len(U) * U.universe_size <= DENSE_MATRIX_CELLS else None
-    sol = _ext_minimize(w, list(U.elements), node_budget, matrix=mat)
-    method = BRANCH_AND_BOUND if sol.closed else HEURISTIC
-    return sol.value, sol.cells, method
+    """H(U) under a (possibly conditional) measure: H(U|{X}), the minimum
+    Shannon entropy over ordered-difference partitions of U, solved exactly
+    unless the search budget runs out (then a flagged upper bound)."""
+    X = families.trivial_partition(U.system, U.window)
+    return conditional_cover_entropy(mu_or_cond, U, X, node_budget, ustar_budget=0)
 
 
 def conditional_cover_entropy(
@@ -563,16 +478,24 @@ def conditional_cover_entropy(
     lab_b = families.partition_labels(beta)
     base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
 
-    # trace masses of every element on every atom, in one sweep
-    mat = U.matrix() if len(U) * size <= DENSE_MATRIX_CELLS else None
-    mass_mat = np.empty((len(U), len(beta)))
-    for e, m in enumerate(U.elements):
-        row = mat[e] if mat is not None else bitsets.bools_from_mask(m, size)
-        mass_mat[e] = np.bincount(lab_b[row], weights=w[row], minlength=len(beta))
-
-    order = np.argsort(lab_b, kind="stable")
-    cuts = np.nonzero(np.diff(lab_b[order]))[0] + 1
-    atom_words = {int(lab_b[g[0]]): g for g in np.split(order, cuts)}
+    # the memberships on positive-weight words, grouped by atom.  An atom's
+    # block has its active elements as rows and its positive-weight words as
+    # columns, both ascending; each pair gets its row and column rank.
+    elems, words = U.incidence()
+    pos = w[words] > 0.0
+    atoms = lab_b[words[pos]]
+    order = np.argsort(atoms, kind="stable")
+    atoms, elems, words = atoms[order], elems[pos][order], words[pos][order]
+    row_keys, row_of = np.unique(atoms * len(U) + elems, return_inverse=True)
+    col_keys, col_of = np.unique(atoms * size + words, return_inverse=True)
+    row_atoms, row_elems = np.divmod(row_keys, len(U))
+    col_atoms, col_words = np.divmod(col_keys, size)
+    bounds = np.arange(len(beta) + 1)
+    pair_cut = np.searchsorted(atoms, bounds)
+    row_cut = np.searchsorted(row_atoms, bounds)
+    col_cut = np.searchsorted(col_atoms, bounds)
+    row_of = row_of - row_cut[atoms]
+    col_of = col_of - col_cut[atoms]
 
     route_a = 0.0
     glue = [0] * len(U)
@@ -581,18 +504,14 @@ def conditional_cover_entropy(
         base = float(base_masses[b_idx])
         if base <= 0.0:
             continue
-        active = np.nonzero(mass_mat[:, b_idx] > 0.0)[0]
-        idx = atom_words[b_idx]
-        idx = idx[w[idx] > 0.0]
+        active = row_elems[row_cut[b_idx] : row_cut[b_idx + 1]]
+        idx = col_words[col_cut[b_idx] : col_cut[b_idx + 1]]
         if len(active) == 1:
             glue[int(active[0])] |= bitsets.mask_from_indices(idx)
             continue  # a single element carries the atom: zero entropy
-        if mat is not None:
-            memb = mat[active][:, idx]
-        else:
-            memb = np.stack(
-                [bitsets.bools_from_mask(U.elements[i], size)[idx] for i in active]
-            )
+        pairs = slice(pair_cut[b_idx], pair_cut[b_idx + 1])
+        memb = np.zeros((len(active), len(idx)), dtype=bool)
+        memb[row_of[pairs], col_of[pairs]] = True
         val, cells, closed, _ = _solve_compact(memb, w[idx] / base, node_budget, rng)
         route_a += base * val
         if not closed:
@@ -604,7 +523,7 @@ def conditional_cover_entropy(
         method = BRANCH_AND_BOUND
 
     # words in null atoms still need a home for the glued partition
-    leftover = bitsets.full_mask(U.universe_size) & ~_union(glue)
+    leftover = bitsets.full_mask(size) & ~_union(glue)
     for m, elem in enumerate(U.elements):
         if leftover == 0:
             break

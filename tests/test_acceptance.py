@@ -66,6 +66,7 @@ def test_criterion_05_golden_mean_rates():
     assert res.passed, res.detail
 
 
+@pytest.mark.slow
 def test_criterion_06_variational_principle():
     t0 = time.time()
     res = verify.scenario_variational_principle()
@@ -75,6 +76,7 @@ def test_criterion_06_variational_principle():
     assert elapsed <= 300
 
 
+@pytest.mark.slow
 def test_criterion_07_plus_minus_bracket():
     res = _report(7, verify.scenario_plus_minus_bracket())
     assert res.passed, (

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -261,6 +263,26 @@ def test_join_refines_both(pair):
     V = ce.family_of_points(sys, e2, "cover")
     j = ce.join(U, V)
     assert ce.finer(j, U) and ce.finer(j, V)
+
+
+@st.composite
+def point_masks(draw):
+    """Random element masks on up to 80 points (empty, sparse and dense ones),
+    plus one element for whatever they leave uncovered."""
+    n = draw(st.integers(1, 80))
+    masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=5))
+    rest = ((1 << n) - 1) & ~functools.reduce(operator.or_, masks)
+    return n, masks + [rest] if rest else masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_masks())
+def test_incidence_lists_the_set_bits_of_each_mask(case):
+    n, masks = case
+    fam = families.SetFamily(ce.permutation(list(range(n))), None, "cover", tuple(masks))
+    elems, words = fam.incidence()
+    expected = [(m, x) for m, mask in enumerate(masks) for x in range(n) if mask >> x & 1]
+    assert list(zip(elems.tolist(), words.tolist())) == expected
 
 
 def test_partition_invariant_enforced(three_points):

@@ -115,10 +115,23 @@ def test_covering_number_of_partition_is_largest_cell_count():
         assert ce.covering_number(U, beta) == expected
         assert ce.covering_number_exhaustive(U, beta) == expected
     full2 = ce.full_shift(2)
-    for window in (3, 10):
+    for window in (3, 10, 12):
         U = ce.cylinder_partition(full2, window)
         assert ce.covering_number(U, ce.trivial_partition(full2, window)) == 2**window
         assert ce.covering_number(U, U) == 1
+
+
+def test_conditional_quantities_on_8192_cylinders():
+    """8192 cells conditioned on the 4096 cylinders of the first 12 symbols:
+    only the last symbol is left, so H = H(p) and N = 2."""
+    fs = ce.full_shift(2)
+    U = ce.cylinder_partition(fs, 13)
+    beta = ce.extend_window(ce.cylinder_partition(fs, 12), 13)
+    p = 0.3
+    v = ce.conditional_cover_entropy(ce.bernoulli(fs, [p, 1 - p]), U, beta)
+    assert v.method == "exact"
+    assert v.nats == pytest.approx(-p * math.log(p) - (1 - p) * math.log(1 - p), abs=1e-9)
+    assert ce.covering_number(U, beta) == 2
 
 
 def test_min_cover_size_rejects_uncoverable_atoms():
