@@ -5,10 +5,12 @@ finer-partition enumeration, cover distance, and pullbacks.
 A family lives on one carrier: either the admissible words of a word system
 at a fixed window length, or the points of a permutation system.  Elements
 are bitmasks over that carrier's universe (see `bitsets`); the masks and
-their order are a family's identity.  The only derived view is the cached
-`SetFamily.incidence()`, the (element, word) pairs of every membership:
-numpy code indexes it instead of a dense element-by-word matrix, so memory
-grows with the number of memberships, not with elements times words.
+their order are a family's identity.  The only derived membership view is
+the cached `SetFamily.incidence()`, the (element, word) pairs of every
+membership: numpy code indexes it instead of a dense element-by-word matrix.
+At 8 bytes a membership it grows with the memberships, not with elements
+times words; a partition holds one membership per word.  Partitions also
+cache one label per word (`partition_labels`).
 """
 
 from __future__ import annotations
@@ -90,24 +92,17 @@ class SetFamily:
         return len(self.elements)
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every membership as parallel read-only arrays (element index,
-        universe index), sorted by element and then by universe index."""
+        """Every membership as parallel read-only int32 arrays (element
+        index, universe index), sorted by element and then by universe index:
+        8 bytes per membership."""
         inc = self._cache.get("incidence")
         if inc is None:
             size = self.universe_size
-            elems: list[int] = []
-            words: list[int] = []
-            for i, m in enumerate(self.elements):
-                # walking the bits costs one big-int step per set bit, an
-                # unpack a fixed numpy overhead: walk sparse masks (cylinder
-                # partitions, small carriers), unpack dense ones
-                if m.bit_count() <= 16:
-                    bits = list(bitsets.iter_bits(m))
-                else:
-                    bits = bitsets.indices_from_mask(m, size).tolist()
-                elems += [i] * len(bits)
-                words += bits
-            inc = (np.array(elems, dtype=np.int64), np.array(words, dtype=np.int64))
+            parts = [bitsets.indices_from_mask(m, size) for m in self.elements]
+            elems = np.repeat(
+                np.arange(len(parts), dtype=np.int32), [len(p) for p in parts]
+            )
+            inc = (elems, np.concatenate(parts).astype(np.int32))
             for arr in inc:
                 arr.flags.writeable = False
             self._cache["incidence"] = inc
@@ -199,9 +194,11 @@ def partition_labels(fam: SetFamily) -> np.ndarray:
         raise FamilyError("labels exist for partitions only")
     lab = fam._cache.get("labels")
     if lab is None:
-        elems, words = fam.incidence()
-        lab = np.empty(fam.universe_size, dtype=np.int64)
-        lab[words] = elems
+        size = fam.universe_size
+        lab = np.full(size, -1, dtype=np.int64)
+        for i, m in enumerate(fam.elements):
+            if m:
+                lab[bitsets.bools_from_mask(m, size)] = i
         fam._cache["labels"] = lab
     return lab
 

@@ -327,10 +327,10 @@ def condition_on(
 ) -> ConditionalMeasure:
     """μ_B: weights w ↦ μ([w])/μ(B) inside B; the Zero measure if μ(B)=0."""
     w = weights_for(mu, system, window)
-    base = mask_mass(w, mask)
+    sel = bitsets.bools_from_mask(mask, len(w))
+    base = float(w[sel].sum())
     out = np.zeros_like(w)
     if base > 0.0:
-        sel = bitsets.bools_from_mask(mask, len(w))
         out[sel] = w[sel] / base
     else:
         base = 0.0

@@ -471,6 +471,10 @@ def conditional_cover_entropy(
     if beta.kind != PARTITION:
         raise EntropyError("conditioner must be a partition")
     families._require_same_carrier(U, beta)
+    if U.kind == PARTITION:
+        # a partition is its own only ordered-difference partition, so the
+        # glued partition of route B is U and the partition formula is exact
+        return EntropyValue(conditional_entropy(mu, U, beta).nats, EXACT, 0.0)
     w = measures.family_weights(mu, U)
     rng = np.random.default_rng(0)
     size = U.universe_size
@@ -519,7 +523,7 @@ def conditional_cover_entropy(
         for i, cell in zip(active, cells):
             if cell.any():
                 glue[int(i)] |= bitsets.mask_from_indices(idx[cell])
-    if method == EXACT and U.kind != PARTITION:
+    if method == EXACT:
         method = BRANCH_AND_BOUND
 
     # words in null atoms still need a home for the glued partition
@@ -538,7 +542,7 @@ def conditional_cover_entropy(
             f"per-atom route {route_a!r} vs glued-partition route {route_b!r}"
         )
 
-    if method != HEURISTIC and ustar_budget > 0 and U.kind != PARTITION:
+    if method != HEURISTIC and ustar_budget > 0:
         enum = families.ustar_enumerate(U, ustar_budget)
         if not enum.refused:
             route_c = min(

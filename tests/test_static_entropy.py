@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import coverentropy as ce
-from coverentropy import bitsets, measures, static_entropy
+from coverentropy import bitsets, families, measures, static_entropy
 
 from conftest import H_THIRD, LOG2
 
@@ -123,15 +123,27 @@ def test_covering_number_of_partition_is_largest_cell_count():
 
 def test_conditional_quantities_on_8192_cylinders():
     """8192 cells conditioned on the 4096 cylinders of the first 12 symbols:
-    only the last symbol is left, so H = H(p) and N = 2."""
+    only the last symbol is left, so H = H(p) and N = 2.  Unconditioned, the
+    cells have H = 13 H(p)."""
     fs = ce.full_shift(2)
     U = ce.cylinder_partition(fs, 13)
     beta = ce.extend_window(ce.cylinder_partition(fs, 12), 13)
     p = 0.3
-    v = ce.conditional_cover_entropy(ce.bernoulli(fs, [p, 1 - p]), U, beta)
+    mu = ce.bernoulli(fs, [p, 1 - p])
+    h = -p * math.log(p) - (1 - p) * math.log(1 - p)
+    v = ce.conditional_cover_entropy(mu, U, beta)
     assert v.method == "exact"
-    assert v.nats == pytest.approx(-p * math.log(p) - (1 - p) * math.log(1 - p), abs=1e-9)
+    assert v.nats == pytest.approx(h, abs=1e-9)
     assert ce.covering_number(U, beta) == 2
+    v = ce.cover_entropy(mu, U)
+    assert v.method == "exact"
+    assert v.nats == pytest.approx(13 * h, abs=1e-9)
+    # as a cover with X added, every atom is searched: X alone costs nothing
+    V = families.SetFamily(fs, 13, "cover", U.elements + (bitsets.full_mask(8192),))
+    v = ce.conditional_cover_entropy(mu, V, beta)
+    assert v.method == "branch_and_bound"
+    assert v.nats == pytest.approx(0.0, abs=1e-9)
+    assert ce.covering_number(V, beta) == 1
 
 
 def test_min_cover_size_rejects_uncoverable_atoms():
