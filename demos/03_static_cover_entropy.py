@@ -10,7 +10,7 @@ permitting).  Any disagreement raises instead of returning.
 import math
 
 import coverentropy as ce
-from coverentropy import families, measures, static_entropy
+from coverentropy import families, measures
 
 sys3 = ce.permutation([0, 1, 2])
 mu = ce.uniform_cycle_measure(sys3)
@@ -34,8 +34,7 @@ w = measures.family_weights(mu, U)
 print("\nall finer-partition values:")
 for fam in ce.ustar_enumerate(U):
     cells = [[i for i in range(3) if m >> i & 1] for m in fam.elements]
-    masses = static_entropy._element_masses(fam, w)
-    h = sum(static_entropy.phi(float(x)) for x in masses)
+    h = ce.shannon([measures.mask_mass(w, m) for m in fam.elements]).nats
     print(f"   {cells}  ->  {h:.6f}")
 
 # a golden-mean instance at window 2

@@ -10,7 +10,11 @@ the cached `SetFamily.incidence()`, the (element, word) pairs of every
 membership: numpy code indexes it instead of a dense element-by-word matrix.
 At 8 bytes a membership it grows with the memberships, not with elements
 times words; a partition holds one membership per word.  Partitions also
-cache one label per word (`partition_labels`).
+cache one label per word (`partition_labels`), and labels are the only way
+a partition enters the partition formula of `static_entropy`: pairing two
+label arrays gives the cells of the join without building it as a family,
+and a partition computed on the fly, such as the glued minimizer of a cover,
+is written as labels and never validated as a `SetFamily`.
 """
 
 from __future__ import annotations

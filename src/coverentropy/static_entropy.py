@@ -5,6 +5,14 @@ independent routes, the conditional covering number N(U|beta) by exact set
 cover, and the cover entropies H(U) / H(U|beta) via exact minimization over
 ordered-difference partitions, cross-checked against the exhaustive
 finer-partition minimum whenever that enumeration is affordable.
+
+A partition enters the partition formula as one label per word, never as
+masks: `conditional_entropy` passes the cached `families.partition_labels`,
+and route B of `conditional_cover_entropy` writes the glued minimizer's
+labels straight from the per-atom solutions.  One `np.unique` of the label
+pairs then gives the cells of the join alpha v beta, so neither the join nor
+the glued partition is ever built as a family, and the cost is linear in
+the words whatever the number of atoms.
 """
 
 from __future__ import annotations
@@ -56,6 +64,12 @@ class EntropyValue:
             raise EntropyError(f"negative entropy {self.nats}")
 
 
+def _phi_sum(x: np.ndarray) -> float:
+    """Sum of phi over the entries of x, in one vectorised pass."""
+    x = x[x > 0.0]
+    return float(np.sum(-x * np.log(x)))
+
+
 def shannon(weights) -> EntropyValue:
     """Sum of phi over a (sub-)probability vector.  Disjoint families that do
     not cover the space are fine; negative weights are not."""
@@ -65,13 +79,29 @@ def shannon(weights) -> EntropyValue:
     total = float(w.sum())
     if total > 1.0 + 1e-12:
         raise EntropyError(f"weights sum to {total} > 1")
-    val = float(sum(phi(float(x)) for x in w if x > 0.0))
-    return EntropyValue(val, EXACT, 0.0)
+    return EntropyValue(_phi_sum(w), EXACT, 0.0)
 
 
-def _element_masses(fam: SetFamily, weights: np.ndarray) -> np.ndarray:
-    elems, words = fam.incidence()
-    return np.bincount(elems, weights=weights[words], minlength=len(fam))
+def _partition_entropy(w, lab_a, n_a: int, lab_b) -> float:
+    """H(alpha | beta) for partitions given by one label per word (alpha's
+    in 0..n_a-1), computed both as H(alpha v beta) - H(beta) and as the sum
+    of mu(B) phi(mu(C) / mu(B)) over the cells C of the join, B the atom
+    holding C.  The two must agree to 1e-9; the atom route is returned.
+    Only the labels of positive-weight words are read, so a zero-weight word
+    may carry any label, -1 included."""
+    pos = w > 0.0
+    wp = w[pos]
+    keys, cell_of = np.unique(lab_b[pos] * n_a + lab_a[pos], return_inverse=True)
+    cells = np.bincount(cell_of, weights=wp)
+    atoms = np.bincount(lab_b[pos], weights=wp)
+    route_join = _phi_sum(cells) - _phi_sum(atoms)
+    ratio = cells / atoms[keys // n_a]  # cell mass over its atom's mass
+    route_atoms = float(np.sum(-cells * np.log(ratio)))
+    if abs(route_join - route_atoms) > ROUTE_TOL:
+        raise RouteDisagreement(
+            f"join route {route_join!r} vs atom route {route_atoms!r}"
+        )
+    return route_atoms
 
 
 def conditional_entropy(mu, alpha: SetFamily, beta: SetFamily) -> EntropyValue:
@@ -82,31 +112,10 @@ def conditional_entropy(mu, alpha: SetFamily, beta: SetFamily) -> EntropyValue:
         raise EntropyError("conditional_entropy needs partitions")
     families._require_same_carrier(alpha, beta)
     w = measures.family_weights(mu, alpha)
-
-    joined = families.join(alpha, beta)
-    h_join = float(sum(phi(x) for x in _element_masses(joined, w)))
-    h_beta = float(sum(phi(x) for x in _element_masses(beta, w)))
-    route_join = h_join - h_beta
-
-    lab_a = families.partition_labels(alpha)
-    route_atoms = 0.0
-    for b in beta.elements:
-        if b == 0:
-            continue
-        sel = bitsets.bools_from_mask(b, len(w))
-        base = float(w[sel].sum())
-        if base <= 0.0:
-            continue
-        cell_masses = np.bincount(lab_a[sel], weights=w[sel])
-        route_atoms += base * float(
-            sum(phi(float(x) / base) for x in cell_masses[cell_masses > 0.0])
-        )
-
-    if abs(route_join - route_atoms) > ROUTE_TOL:
-        raise RouteDisagreement(
-            f"join route {route_join!r} vs atom route {route_atoms!r}"
-        )
-    return EntropyValue(max(route_atoms, 0.0), EXACT, 0.0)
+    h = _partition_entropy(
+        w, families.partition_labels(alpha), len(alpha), families.partition_labels(beta)
+    )
+    return EntropyValue(max(h, 0.0), EXACT, 0.0)
 
 
 def _conditional_entropy_atoms(w, alpha_masks, beta_masks) -> float:
@@ -474,7 +483,7 @@ def conditional_cover_entropy(
     if U.kind == PARTITION:
         # a partition is its own only ordered-difference partition, so the
         # glued partition of route B is U and the partition formula is exact
-        return EntropyValue(conditional_entropy(mu, U, beta).nats, EXACT, 0.0)
+        return conditional_entropy(mu, U, beta)
     w = measures.family_weights(mu, U)
     rng = np.random.default_rng(0)
     size = U.universe_size
@@ -502,7 +511,9 @@ def conditional_cover_entropy(
     col_of = col_of - col_cut[atoms]
 
     route_a = 0.0
-    glue = [0] * len(U)
+    # route B's glued partition as one U-index per word; words of null atoms
+    # and zero-weight words keep -1, as they change neither formula
+    glue = np.full(size, -1, dtype=np.int64)
     method = EXACT
     for b_idx in range(len(beta)):
         base = float(base_masses[b_idx])
@@ -511,7 +522,7 @@ def conditional_cover_entropy(
         active = row_elems[row_cut[b_idx] : row_cut[b_idx + 1]]
         idx = col_words[col_cut[b_idx] : col_cut[b_idx + 1]]
         if len(active) == 1:
-            glue[int(active[0])] |= bitsets.mask_from_indices(idx)
+            glue[idx] = active[0]
             continue  # a single element carries the atom: zero entropy
         pairs = slice(pair_cut[b_idx], pair_cut[b_idx + 1])
         memb = np.zeros((len(active), len(idx)), dtype=bool)
@@ -521,21 +532,10 @@ def conditional_cover_entropy(
         if not closed:
             method = HEURISTIC
         for i, cell in zip(active, cells):
-            if cell.any():
-                glue[int(i)] |= bitsets.mask_from_indices(idx[cell])
+            glue[idx[cell]] = i
     if method == EXACT:
         method = BRANCH_AND_BOUND
-
-    # words in null atoms still need a home for the glued partition
-    leftover = bitsets.full_mask(size) & ~_union(glue)
-    for m, elem in enumerate(U.elements):
-        if leftover == 0:
-            break
-        grab = leftover & elem
-        glue[m] |= grab
-        leftover &= ~grab
-    glued = SetFamily(U.system, U.window, PARTITION, tuple(glue))
-    route_b = conditional_entropy(mu, glued, beta).nats
+    route_b = _partition_entropy(w, glue, len(U), lab_b)
 
     if abs(route_a - route_b) > ROUTE_TOL:
         raise RouteDisagreement(
@@ -556,10 +556,3 @@ def conditional_cover_entropy(
 
     cert = None if method == HEURISTIC else 0.0
     return EntropyValue(max(route_a, 0.0), method, cert)
-
-
-def _union(masks) -> int:
-    u = 0
-    for m in masks:
-        u |= m
-    return u

@@ -112,13 +112,14 @@ def _has_essential_part(transition) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class WordUniverse:
-    """All admissible length-n words of a system, in lexicographic order."""
+    """All admissible length-n words of a system, in lexicographic order.
+    Words are looked up by binary search over their sorted radix codes, so
+    the universe holds O(count) memory however large k**n is."""
 
     system: SymbolicSystem
     length: int
-    array: np.ndarray          # (count, length) int8
-    codes: np.ndarray          # radix codes, most-significant letter first
-    code_to_index: np.ndarray  # size k^length, -1 where inadmissible
+    array: np.ndarray  # (count, length) int8
+    codes: np.ndarray  # radix codes, most-significant letter first: ascending
 
     @property
     def count(self) -> int:
@@ -132,8 +133,8 @@ class WordUniverse:
         k = self.system.alphabet_size
         for letter in word:
             code = code * k + int(letter)
-        idx = int(self.code_to_index[code])
-        if idx < 0:
+        idx = int(np.searchsorted(self.codes, code))
+        if idx == self.count or self.codes[idx] != code:
             raise SystemError(f"word {word} is not admissible")
         return idx
 
@@ -143,8 +144,8 @@ class WordUniverse:
         k = self.system.alphabet_size
         powers = k ** np.arange(self.length - 1, -1, -1, dtype=np.int64)
         codes = rows.astype(np.int64) @ powers
-        idx = self.code_to_index[codes]
-        if np.any(idx < 0):
+        idx = np.minimum(np.searchsorted(self.codes, codes), self.count - 1)
+        if np.any(self.codes[idx] != codes):
             raise SystemError("inadmissible word encountered during recoding")
         return idx
 
@@ -156,16 +157,15 @@ def word_universe(sys: SymbolicSystem, n: int) -> WordUniverse:
     if n < 1:
         raise SystemError("word length must be >= 1")
     k = sys.alphabet_size
+    if k**n >= 2**63:
+        raise SystemError(f"{k}**{n} radix codes do not fit in int64")
     t = sys.transition_array()
     words = [(a,) for a in range(k)]
     for _ in range(n - 1):
         words = [w + (b,) for w in words for b in range(k) if t[w[-1], b]]
     arr = np.array(words, dtype=np.int8).reshape(len(words), n)
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = arr.astype(np.int64) @ powers
-    c2i = np.full(k**n, -1, dtype=np.int64)
-    c2i[codes] = np.arange(len(words))
-    return WordUniverse(sys, n, arr, codes, c2i)
+    return WordUniverse(sys, n, arr, arr.astype(np.int64) @ powers)
 
 
 def admissible_words(sys: SymbolicSystem, n: int) -> list[tuple[int, ...]]:

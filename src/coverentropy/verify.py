@@ -219,129 +219,117 @@ class PropertySpec:
     full_count: int = 1000
 
 
-def _prop_route_equality(rng) -> Optional[dict]:
-    inst = rand_point_instance(rng, ustar_cap=4096)
+def _counterexample(inst: dict, check: Callable[..., bool]) -> Optional[dict]:
+    """Shrink `inst` and return it when `check(candidate, sys, mu, covers,
+    parts)` reports a failure for it, else None.  A candidate the builder
+    refuses is not a counterexample; any exception raised inside `check` is
+    one, so a route disagreement or any other internal error fails the
+    property instead of passing it, and the counterexample names it under
+    "error"."""
 
     def fails(candidate):
+        candidate.pop("error", None)
         try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            static_entropy.conditional_cover_entropy(
-                mu, covers[0], parts[0], ustar_budget=4096
-            )
+            built = build_point_instance(candidate)
+        except (families.FamilyError, measures.MeasureError):
             return False
-        except static_entropy.RouteDisagreement:
+        try:
+            return bool(check(candidate, *built))
+        except Exception as exc:
+            candidate["error"] = f"{type(exc).__name__}: {exc}"
             return True
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
 
     if fails(inst):
         return shrink_point_instance(inst, fails)
     return None
+
+
+def _prop_route_equality(rng) -> Optional[dict]:
+    def check(candidate, sys, mu, covers, parts):
+        static_entropy.conditional_cover_entropy(
+            mu, covers[0], parts[0], ustar_budget=4096
+        )
+        return False
+
+    return _counterexample(rand_point_instance(rng, ustar_cap=4096), check)
 
 
 def _prop_counting_axioms(rng) -> Optional[dict]:
-    inst = rand_point_instance(rng, n_families=2)
+    def check(candidate, sys, mu, covers, parts):
+        U, V = covers[0], covers[1]
+        beta = parts[0]
+        n = sys.point_count
+        rng2 = np.random.default_rng(7)
+        finer_beta = families.family_of_points(
+            sys, _refine_partition(rng2, candidate["partitions"][0], n), PARTITION
+        )
+        N = static_entropy.covering_number
+        n_ub = N(U, beta)
+        # N >= 1, and N == 1 iff beta refines U
+        if n_ub < 1:
+            return True
+        if (n_ub == 1) != families.finer(beta, U):
+            return True
+        # one-step preimage invariance
+        tU = families.dynamical_join(U, 1, 1)
+        tb = families.dynamical_join(beta, 1, 1)
+        if N(tU, tb) != n_ub:
+            return True
+        # cover monotonicity: U finer than W implies N(U|beta) >= N(W|beta)
+        W = families.family_of_points(
+            sys, _coarsen_cover(rng2, candidate["covers"][0]), COVER
+        )
+        if families.finer(U, W) and N(U, beta) < N(W, beta):
+            return True
+        # conditioner monotonicity
+        if N(U, finer_beta) > N(U, beta):
+            return True
+        # submultiplicativity under join
+        return N(families.join(U, V), beta) > N(U, beta) * N(V, beta)
 
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            U, V = covers[0], covers[1]
-            beta, gamma_raw = parts[0], parts[1]
-            n = sys.point_count
-            rng2 = np.random.default_rng(7)
-            finer_beta = families.family_of_points(
-                sys, _refine_partition(rng2, candidate["partitions"][0], n), PARTITION
-            )
-            N = static_entropy.covering_number
-            n_ub = N(U, beta)
-            # N >= 1, and N == 1 iff beta refines U
-            if n_ub < 1:
-                return True
-            if (n_ub == 1) != families.finer(beta, U):
-                return True
-            # one-step preimage invariance
-            tU = families.dynamical_join(U, 1, 1)
-            tb = families.dynamical_join(beta, 1, 1)
-            if N(tU, tb) != n_ub:
-                return True
-            # cover monotonicity: U finer than W implies N(U|beta) >= N(W|beta)
-            W = families.family_of_points(
-                sys, _coarsen_cover(rng2, candidate["covers"][0]), COVER
-            )
-            if families.finer(U, W) and N(U, beta) < N(W, beta):
-                return True
-            # conditioner monotonicity
-            if N(U, finer_beta) > N(U, beta):
-                return True
-            # submultiplicativity under join
-            if N(families.join(U, V), beta) > N(U, beta) * N(V, beta):
-                return True
-            return False
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
-
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+    return _counterexample(rand_point_instance(rng, n_families=2), check)
 
 
 def _prop_entropy_axioms(rng) -> Optional[dict]:
-    inst = rand_point_instance(rng, n_families=2)
+    def check(candidate, sys, mu, covers, parts):
+        U, V = covers[0], covers[1]
+        beta = parts[0]
+        n = sys.point_count
+        rng2 = np.random.default_rng(11)
+        finer_beta = families.family_of_points(
+            sys, _refine_partition(rng2, candidate["partitions"][0], n), PARTITION
+        )
+        H = lambda u, b: static_entropy.conditional_cover_entropy(
+            mu, u, b, ustar_budget=0
+        ).nats
+        h_ub = H(U, beta)
+        tol = 1e-9
+        if h_ub < -tol:
+            return True
+        if h_ub > math.log(static_entropy.covering_number(U, beta)) + tol:
+            return True
+        if families.finer(beta, U) and h_ub > tol:
+            return True
+        tU = families.dynamical_join(U, 1, 1)
+        tb = families.dynamical_join(beta, 1, 1)
+        if abs(H(tU, tb) - h_ub) > tol:
+            return True
+        if H(U, finer_beta) > h_ub + tol:
+            return True
+        return H(families.join(U, V), beta) > h_ub + H(V, beta) + tol
 
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            U, V = covers[0], covers[1]
-            beta = parts[0]
-            n = sys.point_count
-            rng2 = np.random.default_rng(11)
-            finer_beta = families.family_of_points(
-                sys, _refine_partition(rng2, candidate["partitions"][0], n), PARTITION
-            )
-            H = lambda u, b: static_entropy.conditional_cover_entropy(
-                mu, u, b, ustar_budget=0
-            ).nats
-            h_ub = H(U, beta)
-            tol = 1e-9
-            if h_ub < -tol:
-                return True
-            if h_ub > math.log(static_entropy.covering_number(U, beta)) + tol:
-                return True
-            if families.finer(beta, U) and h_ub > tol:
-                return True
-            tU = families.dynamical_join(U, 1, 1)
-            tb = families.dynamical_join(beta, 1, 1)
-            if abs(H(tU, tb) - h_ub) > tol:
-                return True
-            if H(U, finer_beta) > h_ub + tol:
-                return True
-            if H(families.join(U, V), beta) > h_ub + H(V, beta) + tol:
-                return True
-            return False
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
-
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+    return _counterexample(rand_point_instance(rng, n_families=2), check)
 
 
 def _prop_counting_exactness(rng) -> Optional[dict]:
+    def check(candidate, sys, mu, covers, parts):
+        U, beta = covers[0], parts[0]
+        return static_entropy.covering_number(
+            U, beta
+        ) != static_entropy.covering_number_exhaustive(U, beta)
+
     inst = rand_point_instance(rng, max_points=10, max_elements=12, n_families=1)
-
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            U, beta = covers[0], parts[0]
-            return static_entropy.covering_number(
-                U, beta
-            ) != static_entropy.covering_number_exhaustive(U, beta)
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
-
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+    return _counterexample(inst, check)
 
 
 def _prop_concavity(rng) -> Optional[dict]:
@@ -351,114 +339,86 @@ def _prop_concavity(rng) -> Optional[dict]:
     ]
     inst["t"] = float(rng.choice([0.25, 0.5, 0.75]))
 
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            cw2 = np.array(
-                candidate.get("cycle_weights_2", candidate["cycle_weights"]),
-                dtype=float,
-            )
-            nu = measures.cycle_measure(sys, cw2 / cw2.sum())
-            t = candidate.get("t", 0.5)
-            mixed = measures.InvariantMeasure(
-                measures.PERMUTATION,
-                sys,
-                point_weights=t * mu.point_weights + (1 - t) * nu.point_weights,
-            )
-            alpha, beta = parts[0], parts[1]
-            lhs = static_entropy.conditional_entropy(mixed, alpha, beta).nats
-            rhs = (
-                t * static_entropy.conditional_entropy(mu, alpha, beta).nats
-                + (1 - t) * static_entropy.conditional_entropy(nu, alpha, beta).nats
-            )
-            return lhs < rhs - 1e-9
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
+    def check(candidate, sys, mu, covers, parts):
+        cw2 = np.array(
+            candidate.get("cycle_weights_2", candidate["cycle_weights"]),
+            dtype=float,
+        )
+        nu = measures.cycle_measure(sys, cw2 / cw2.sum())
+        t = candidate.get("t", 0.5)
+        mixed = measures.InvariantMeasure(
+            measures.PERMUTATION,
+            sys,
+            point_weights=t * mu.point_weights + (1 - t) * nu.point_weights,
+        )
+        alpha, beta = parts[0], parts[1]
+        lhs = static_entropy.conditional_entropy(mixed, alpha, beta).nats
+        rhs = (
+            t * static_entropy.conditional_entropy(mu, alpha, beta).nats
+            + (1 - t) * static_entropy.conditional_entropy(nu, alpha, beta).nats
+        )
+        return lhs < rhs - 1e-9
 
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+    return _counterexample(inst, check)
 
 
 def _prop_nested_atom_entropy(rng) -> Optional[dict]:
     # A subset of B implies mu(A) H_{mu_A}(U) <= mu(B) H_{mu_B}(U)
-    inst = rand_point_instance(rng)
-
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            U = covers[0]
-            n = sys.point_count
-            rng2 = np.random.default_rng(13)
-            b_mask = 0
-            for x in range(n):
-                if rng2.random() < 0.7:
-                    b_mask |= 1 << x
-            if b_mask == 0:
-                return False
-            a_mask = b_mask
-            for x in bitsets.iter_bits(b_mask):
-                if rng2.random() < 0.4:
-                    a_mask &= ~(1 << x)
-            if a_mask == 0:
-                return False
-            w = measures.family_weights(mu, U)
-
-            def side(mask):
-                cond = measures.condition_on(mu, mask, sys, None)
-                if cond.is_zero:
-                    return 0.0
-                return cond.base_mass * static_entropy.cover_entropy(cond, U).nats
-
-            return side(a_mask) > side(b_mask) + 1e-9
-        except (families.FamilyError, measures.MeasureError, ValueError):
+    def check(candidate, sys, mu, covers, parts):
+        U = covers[0]
+        n = sys.point_count
+        rng2 = np.random.default_rng(13)
+        b_mask = 0
+        for x in range(n):
+            if rng2.random() < 0.7:
+                b_mask |= 1 << x
+        if b_mask == 0:
+            return False
+        a_mask = b_mask
+        for x in bitsets.iter_bits(b_mask):
+            if rng2.random() < 0.4:
+                a_mask &= ~(1 << x)
+        if a_mask == 0:
             return False
 
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+        def side(mask):
+            cond = measures.condition_on(mu, mask, sys, None)
+            if cond.is_zero:
+                return 0.0
+            return cond.base_mass * static_entropy.cover_entropy(cond, U).nats
+
+        return side(a_mask) > side(b_mask) + 1e-9
+
+    return _counterexample(rand_point_instance(rng), check)
 
 
 def _prop_ext_ustar(rng) -> Optional[dict]:
-    inst = rand_point_instance(rng, ustar_cap=2048)
+    def check(candidate, sys, mu, covers, parts):
+        U = covers[0]
+        exts = list(families.ext_partitions(U))
+        stars = list(families.ustar_enumerate(U, 4096))
+        for fam in exts + stars:
+            if not families.finer(fam, U):
+                return True
+        # every ext output appears among the finer-partition assignments
+        # after realigning cells to the element indices
+        star_keys = {tuple(f.elements) for f in stars}
+        for order, fam in zip(itertools.permutations(range(len(U))), exts):
+            cells = [0] * len(U)
+            for elem_index, cell in zip(order, fam.elements):
+                cells[elem_index] = cell
+            if tuple(cells) not in star_keys:
+                return True
+        # the exact minimizer agrees with the exhaustive minimum
+        w = measures.family_weights(mu, U)
+        best = min(
+            sum(static_entropy.phi(measures.mask_mass(w, m)) for m in f.elements)
+            for f in stars
+        )
+        got = static_entropy.cover_entropy(mu, U).nats
+        return abs(best - got) > 1e-12
 
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            U = covers[0]
-            exts = list(families.ext_partitions(U))
-            stars = list(families.ustar_enumerate(U, 4096))
-            for fam in exts + stars:
-                if not families.finer(fam, U):
-                    return True
-            # every ext output appears among the finer-partition assignments
-            # after realigning cells to the element indices
-            star_keys = {tuple(f.elements) for f in stars}
-            for order, fam in zip(
-                itertools.permutations(range(len(U))), exts
-            ):
-                cells = [0] * len(U)
-                for elem_index, cell in zip(order, fam.elements):
-                    cells[elem_index] = cell
-                if tuple(cells) not in star_keys:
-                    return True
-            # the exact minimizer agrees with the exhaustive minimum
-            w = measures.family_weights(mu, U)
-            best = min(
-                sum(
-                    static_entropy.phi(m)
-                    for m in static_entropy._element_masses(f, w)
-                )
-                for f in stars
-            )
-            got = static_entropy.cover_entropy(mu, U).nats
-            return abs(best - got) > 1e-12
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
-
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+    return _counterexample(rand_point_instance(rng, ustar_cap=2048), check)
 
 
 def _prop_delta_pseudometric(rng) -> Optional[dict]:
@@ -470,46 +430,30 @@ def _prop_delta_pseudometric(rng) -> Optional[dict]:
         while len(cov) < d:
             cov.append(list(range(n)))
 
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            A, B, C = covers[:3]
-            dAB = families.family_delta(mu, A, B).value
-            dBA = families.family_delta(mu, B, A).value
-            dAC = families.family_delta(mu, A, C).value
-            dCB = families.family_delta(mu, C, B).value
-            if abs(dAB - dBA) > 1e-12:
-                return True
-            if dAB > dAC + dCB + 1e-9:
-                return True
-            if dAB > 2 * len(A) + 1e-12:
-                return True
-            return False
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
+    def check(candidate, sys, mu, covers, parts):
+        A, B, C = covers[:3]
+        if not len(A) == len(B) == len(C):
+            return False  # a shrinking merge left a family shorter
+        dAB = families.family_delta(mu, A, B).value
+        dBA = families.family_delta(mu, B, A).value
+        dAC = families.family_delta(mu, A, C).value
+        dCB = families.family_delta(mu, C, B).value
+        if abs(dAB - dBA) > 1e-12:
+            return True
+        if dAB > dAC + dCB + 1e-9:
+            return True
+        return dAB > 2 * len(A) + 1e-12
 
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+    return _counterexample(inst, check)
 
 
 def _prop_decompose_mix(rng) -> Optional[dict]:
-    inst = rand_point_instance(rng)
+    def check(candidate, sys, mu, covers, parts):
+        comps = measures.ergodic_decompose(mu)
+        back = measures.mix(comps) if comps else mu
+        return np.max(np.abs(back.point_weights - mu.point_weights)) > 1e-12
 
-    def fails(candidate):
-        try:
-            sys, mu, covers, parts = build_point_instance(candidate)
-            comps = measures.ergodic_decompose(mu)
-            back = measures.mix(comps) if comps else mu
-            return bool(
-                np.max(np.abs(back.point_weights - mu.point_weights)) > 1e-12
-            )
-        except (families.FamilyError, measures.MeasureError, ValueError):
-            return False
-
-    if fails(inst):
-        return shrink_point_instance(inst, fails)
-    return None
+    return _counterexample(rand_point_instance(rng), check)
 
 
 def _rand_word_system(rng):

@@ -1,6 +1,8 @@
 """Spin every randomized property a modest number of times, plus the
-mutation regression: an off-by-one covering number must be caught by the
-entropy-axioms suite within a small number of instances."""
+mutation regressions: an off-by-one covering number must be caught by the
+counting-axioms suite within a small number of instances, and a route
+disagreement inside the partition formula must fail the properties that
+reach it instead of reading as "property holds"."""
 
 import numpy as np
 import pytest
@@ -33,3 +35,15 @@ def test_tampered_counting_is_caught(monkeypatch):
     assert not res.passed
     assert res.counterexample is not None
     assert len(res.counterexample["perm"]) <= 8  # shrunk to desk size
+
+
+def test_route_disagreement_is_caught(monkeypatch):
+    def disagree(*args):
+        raise static_entropy.RouteDisagreement("tampered partition formula")
+
+    monkeypatch.setattr(static_entropy, "_partition_entropy", disagree)
+    for name in ("static.entropy_axioms", "static.concavity_in_measure"):
+        spec = next(p for p in verify.PROPERTIES if p.name == name)
+        res = verify.run_property(spec, seed=42, count=20)
+        assert not res.passed, name
+        assert "RouteDisagreement" in res.counterexample["error"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import coverentropy as ce
-from coverentropy import bitsets, families, measures, static_entropy
+from coverentropy import bitsets, families, measures, static_entropy, verify
 
 from conftest import H_THIRD, LOG2
 
@@ -146,6 +146,40 @@ def test_conditional_quantities_on_8192_cylinders():
     assert ce.covering_number(V, beta) == 1
 
 
+def test_zero_weight_words_and_null_atoms():
+    """A cycle of weight 0 leaves words of weight 0, and atoms of mass 0,
+    that the glued partition of route B does not label.  Both entropies must
+    still match mask-based oracles: H(alpha v beta) - H(beta), and its
+    minimum over every partition finer than the cover."""
+    rng = np.random.default_rng(17)
+    null_atoms = zero_words = 0
+    for _ in range(150):
+        inst = verify.rand_point_instance(rng, ustar_cap=4096)
+        if len(inst["cycle_weights"]) < 2:
+            continue
+        inst["cycle_weights"][0] = 0
+        sys, mu, (U,), (alpha, beta) = verify.build_point_instance(inst)
+        w = measures.family_weights(mu, U)
+
+        def h(masks):
+            return sum(static_entropy.phi(measures.mask_mass(w, m)) for m in masks)
+
+        def h_given_beta(masks):
+            return h([a & b for a in masks for b in beta.elements]) - h(beta.elements)
+
+        assert ce.conditional_entropy(mu, alpha, beta).nats == pytest.approx(
+            h_given_beta(alpha.elements), abs=1e-12
+        )
+        best = min(h_given_beta(f.elements) for f in ce.ustar_enumerate(U, 4096))
+        got = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=4096)
+        assert got.nats == pytest.approx(best, abs=1e-12)
+        for b in beta.elements:
+            atom_w = w[bitsets.bools_from_mask(b, len(w))]
+            null_atoms += atom_w.size > 0 and atom_w.sum() == 0.0
+            zero_words += atom_w.sum() > 0.0 and np.any(atom_w == 0.0)
+    assert null_atoms > 0 and zero_words > 0
+
+
 def test_min_cover_size_rejects_uncoverable_atoms():
     # no set meets the atom at all
     with pytest.raises(static_entropy.EntropyError):
@@ -224,7 +258,7 @@ def test_cover_entropy_matches_exhaustive_minimum(three_points):
         mu = ce.cycle_measure(sys, cw / cw.sum())
         w = measures.family_weights(mu, U)
         best = min(
-            sum(static_entropy.phi(m) for m in static_entropy._element_masses(f, w))
+            sum(static_entropy.phi(measures.mask_mass(w, m)) for m in f.elements)
             for f in ce.ustar_enumerate(U, 10**6)
         )
         assert ce.cover_entropy(mu, U).nats == pytest.approx(best, abs=1e-12)

@@ -36,6 +36,25 @@ def test_admissible_words_rejects_bad_input(gm):
         ce.admissible_words(ce.permutation([1, 0]), 2)
 
 
+def test_word_lookup_scales_with_admissible_words():
+    # cyclic shift on 100 letters: 100 words at every window although 100**n
+    # radix codes exist, so lookups must not index a table of all codes
+    k = 100
+    cyc = ce.sft([[int(b == (a + 1) % k) for b in range(k)] for a in range(k)])
+    uni = systems.word_universe(cyc, 9)
+    assert uni.count == k
+    for i in (0, 37, k - 1):
+        assert uni.index_of(uni.word(i)) == i
+    assert list(uni.indices_of_rows(uni.array[::-1])) == list(range(k))[::-1]
+    with pytest.raises(systems.SystemError):
+        uni.index_of((0,) * 9)
+    with pytest.raises(systems.SystemError):
+        uni.indices_of_rows(np.zeros((1, 9), dtype=np.int8))
+    # 100**10 codes overflow int64
+    with pytest.raises(systems.SystemError):
+        systems.word_universe(cyc, 10)
+
+
 def test_word_closure(gm):
     words4 = set(ce.admissible_words(gm, 4))
     words3 = set(ce.admissible_words(gm, 3))
