@@ -29,8 +29,24 @@ def bools_from_mask(mask: int, size: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:size].astype(bool)
 
 
-def indices_from_mask(mask: int, size: int) -> np.ndarray:
-    return np.nonzero(bools_from_mask(mask, size))[0]
+def unpack_masks(masks) -> tuple[np.ndarray, np.ndarray]:
+    """(mask index, bit position) of every set bit of every mask, sorted by
+    mask and then by position.  Each mask is unpacked from its lowest set bit
+    only, in one numpy pass over all of them, so the cost follows the masks'
+    spans, not the universe."""
+    lows, chunks = [], []
+    for m in masks:
+        low = max((m & -m).bit_length() - 1, 0)
+        span = m >> low
+        lows.append(low)
+        chunks.append(span.to_bytes((span.bit_length() + 7) // 8, "little"))
+    nbytes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+    start = 8 * (np.cumsum(nbytes) - nbytes)  # first bit of each mask's span
+    raw = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+    pos = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    # an empty mask has no bytes and shares its start with the next mask
+    which = np.searchsorted(start, pos, side="right") - 1
+    return which, np.array(lows, dtype=np.int64)[which] + pos - start[which]
 
 
 def preimage(mask: int, size: int, index_map: np.ndarray) -> int:

@@ -101,12 +101,7 @@ class SetFamily:
         8 bytes per membership."""
         inc = self._cache.get("incidence")
         if inc is None:
-            size = self.universe_size
-            parts = [bitsets.indices_from_mask(m, size) for m in self.elements]
-            elems = np.repeat(
-                np.arange(len(parts), dtype=np.int32), [len(p) for p in parts]
-            )
-            inc = (elems, np.concatenate(parts).astype(np.int32))
+            inc = tuple(a.astype(np.int32) for a in bitsets.unpack_masks(self.elements))
             for arr in inc:
                 arr.flags.writeable = False
             self._cache["incidence"] = inc
@@ -198,11 +193,9 @@ def partition_labels(fam: SetFamily) -> np.ndarray:
         raise FamilyError("labels exist for partitions only")
     lab = fam._cache.get("labels")
     if lab is None:
-        size = fam.universe_size
-        lab = np.full(size, -1, dtype=np.int64)
-        for i, m in enumerate(fam.elements):
-            if m:
-                lab[bitsets.bools_from_mask(m, size)] = i
+        elems, words = bitsets.unpack_masks(fam.elements)
+        lab = np.full(fam.universe_size, -1, dtype=np.int64)
+        lab[words] = elems
         fam._cache["labels"] = lab
     return lab
 

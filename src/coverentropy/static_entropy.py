@@ -13,6 +13,16 @@ labels straight from the per-atom solutions.  One `np.unique` of the label
 pairs then gives the cells of the join alpha v beta, so neither the join nor
 the glued partition is ever built as a family, and the cost is linear in
 the words whatever the number of atoms.
+
+H(U|beta) is a minimization in each atom, and each atom splits into overlap
+components whose orderings do not interact.  The components of all atoms are
+found in one union-find.  Those of at most SMALL_COMPONENT elements, nearly
+all of them on joined covers, are solved together by one exact numpy DP over
+element subsets.  Each larger component gets four greedy passes and a
+best-first search (`_minimize_component`); its "random" passes draw from
+one generator seeded at 0 per call, in order of atom and then of smallest
+element, which fixes the heuristic upper bounds when the search budget runs
+out.
 """
 
 from __future__ import annotations
@@ -291,9 +301,6 @@ def _minimize_component(
     admissible chord lower bound; falls back to the best greedy/incumbent
     value when the node budget runs out."""
     d, m = memb.shape
-    if d == 1:
-        return phi(float(w.sum())), [np.ones(m, dtype=bool)], True, 0
-
     incumbent, inc_cells = math.inf, None
     for rule in ("mass", "static", "random", "random"):
         val, cells = _greedy_order_value(memb, w, rule, rng)
@@ -396,12 +403,12 @@ def _minimize_component(
     return incumbent, inc_cells, closed, nodes
 
 
-def _overlap_components(memb: np.ndarray, w: np.ndarray) -> list[list[int]]:
-    """The rows of `memb` grouped into positive-overlap components: rows i
-    and j are linked when w[memb[i] & memb[j]].sum() > 0.  Components come in
-    order of their smallest row, rows ascending inside each."""
-    d = len(memb)
-    parent = list(range(d))
+def _component_labels(rows: np.ndarray, words: np.ndarray, n_rows: int) -> np.ndarray:
+    """The positive-overlap components of rows 0..n_rows-1, where row rows[k]
+    holds word words[k] and the pairs are sorted by word: rows are linked when
+    they hold a common word.  Returns each row's component, numbered in order
+    of the components' smallest rows."""
+    parent = list(range(n_rows))
 
     def find(x):
         while parent[x] != x:
@@ -409,48 +416,78 @@ def _overlap_components(memb: np.ndarray, w: np.ndarray) -> list[list[int]]:
             x = parent[x]
         return x
 
-    # two rows overlap positively iff they share a positive-weight word, and
     # chaining each word's consecutive holders connects all of them
-    cols, rows = np.nonzero(memb[:, w > 0.0].T)
-    link = np.nonzero(cols[1:] == cols[:-1])[0]
+    link = np.flatnonzero(words[1:] == words[:-1])
     for i, j in zip(rows[link].tolist(), rows[link + 1].tolist()):
         a, b = find(i), find(j)
         if a != b:
-            parent[a] = b
-    comps: dict[int, list[int]] = {}
-    for i in range(d):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values())
+            parent[max(a, b)] = min(a, b)  # every root is its component's smallest row
+    roots = [find(x) for x in range(n_rows)]
+    return np.unique(roots, return_inverse=True)[1]
 
 
-def _solve_compact(
-    memb: np.ndarray, w: np.ndarray, node_budget: int, rng
-) -> tuple[float, list[np.ndarray], bool, int]:
-    """Exact ordering minimization on a compact universe: split the rows of
-    `memb` into positive-overlap components (their ordered-difference masses
-    do not interact) and solve each.  Returns per-row cell indicators."""
-    d, m = memb.shape
-    value = 0.0
-    closed = True
-    nodes = 0
-    cells = [np.zeros(m, dtype=bool) for _ in range(d)]
-    # the "random" greedy passes draw from the shared rng component by
-    # component, so this order fixes the heuristic upper bounds
-    for comp in _overlap_components(memb, w):
-        sup = memb[comp].any(axis=0) & (w > 0.0)
-        sub = memb[comp][:, sup]
-        ws = w[sup]
-        val, comp_cells, comp_closed, comp_nodes = _minimize_component(
-            sub, ws, node_budget, rng
+# Components of at most SMALL_COMPONENT elements are solved together by one
+# exact DP over element subsets; larger ones go to `_minimize_component`.
+SMALL_COMPONENT = 4
+_SUBSETS = 1 << SMALL_COMPONENT
+_PATTERNS = np.arange(_SUBSETS)
+
+
+def _subset_tables() -> tuple[np.ndarray, list]:
+    """The cell table and the steps of the batched subset DP.
+
+    cell[p, S * SMALL_COMPONENT + i] is 1 when element i, placed right after
+    the elements of S, takes the words whose holders are exactly the elements
+    of pattern p: i is one of them and no element of S is.  Step k lists the
+    subsets S of k elements, each with its members i and the subsets S - {i}
+    it is reached from."""
+    s, i = np.divmod(np.arange(_SUBSETS * SMALL_COMPONENT), SMALL_COMPONENT)
+    p = _PATTERNS[:, None]
+    cell = (((p >> i) & 1) == 1) & ((p & s) == 0)
+    steps = []
+    for k in range(1, SMALL_COMPONENT + 1):
+        sets = np.array([S for S in range(_SUBSETS) if S.bit_count() == k])
+        members = np.array(
+            [[i for i in range(SMALL_COMPONENT) if (S >> i) & 1] for S in sets]
         )
-        value += val
-        closed = closed and comp_closed
-        nodes += comp_nodes
-        sup_idx = np.nonzero(sup)[0]
-        for row, cell in zip(comp, comp_cells):
-            if cell.any():
-                cells[row][sup_idx[cell]] = True
-    return value, cells, closed, nodes
+        steps.append((sets, sets[:, None] ^ (1 << members), members))
+    return cell.astype(float), steps
+
+
+_CELL, _STEPS = _subset_tables()
+
+
+def _solve_small(regions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum of sum(phi(cell mass)) over the orderings of many small
+    components at once.  regions[c, p] is the mass of component c's words
+    whose holders are exactly the elements of bit pattern p; a component with
+    fewer than SMALL_COMPONENT elements is padded with elements that hold
+    nothing, whose cells stay empty.  Returns each component's minimum and,
+    for each pattern, the element that takes its words in an optimal
+    ordering: the first of its holders."""
+    n = len(regions)
+    caps = regions @ _CELL
+    cost = np.zeros_like(caps)
+    pos = caps > 0.0
+    cost[pos] = -caps[pos] * np.log(caps[pos])
+    cost = cost.reshape(n, _SUBSETS, SMALL_COMPONENT)
+    best = np.zeros((n, _SUBSETS))
+    last = np.zeros((n, _SUBSETS), dtype=np.int64)  # placed last among S
+    for sets, prev, members in _STEPS:
+        cand = best[:, prev] + cost[:, prev, members]
+        best[:, sets] = cand.min(axis=2)
+        last[:, sets] = members[np.arange(len(sets)), cand.argmin(axis=2)]
+    # walk the optimal ordering backwards: the element placed after `state`
+    # takes the patterns it holds that no element of `state` holds
+    owner = np.zeros((n, _SUBSETS), dtype=np.int64)
+    state = np.full(n, _SUBSETS - 1)
+    for _ in range(SMALL_COMPONENT):
+        i = last[np.arange(n), state]
+        state = state ^ (1 << i)
+        holds = ((_PATTERNS >> i[:, None]) & 1) == 1
+        took = holds & ((_PATTERNS & state[:, None]) == 0)
+        owner = np.where(took, i[:, None], owner)
+    return best[:, -1], owner
 
 
 def cover_entropy(
@@ -486,55 +523,79 @@ def conditional_cover_entropy(
         return conditional_entropy(mu, U, beta)
     w = measures.family_weights(mu, U)
     rng = np.random.default_rng(0)
-    size = U.universe_size
-
     lab_b = families.partition_labels(beta)
     base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
 
-    # the memberships on positive-weight words, grouped by atom.  An atom's
-    # block has its active elements as rows and its positive-weight words as
-    # columns, both ascending; each pair gets its row and column rank.
+    # the memberships on positive-weight words, sorted by word, and one row
+    # per (atom, element) pair that holds one, ordered by atom and element
     elems, words = U.incidence()
     pos = w[words] > 0.0
-    atoms = lab_b[words[pos]]
-    order = np.argsort(atoms, kind="stable")
-    atoms, elems, words = atoms[order], elems[pos][order], words[pos][order]
-    row_keys, row_of = np.unique(atoms * len(U) + elems, return_inverse=True)
-    col_keys, col_of = np.unique(atoms * size + words, return_inverse=True)
+    by_word = np.argsort(words[pos], kind="stable")
+    elems, words = elems[pos][by_word], words[pos][by_word]
+    row_keys, row_of = np.unique(lab_b[words] * len(U) + elems, return_inverse=True)
     row_atoms, row_elems = np.divmod(row_keys, len(U))
-    col_atoms, col_words = np.divmod(col_keys, size)
-    bounds = np.arange(len(beta) + 1)
-    pair_cut = np.searchsorted(atoms, bounds)
-    row_cut = np.searchsorted(row_atoms, bounds)
-    col_cut = np.searchsorted(col_atoms, bounds)
-    row_of = row_of - row_cut[atoms]
-    col_of = col_of - col_cut[atoms]
+    comp_of_row = _component_labels(row_of, words, len(row_keys))
+    sizes = np.bincount(comp_of_row)
+    comp_base = np.zeros(len(sizes))
+    comp_base[comp_of_row] = base_masses[row_atoms]
+    # the rows grouped by component, ascending inside each; a row's slot is
+    # its rank in its component
+    comp_rows = np.argsort(comp_of_row, kind="stable")
+    comp_start = np.cumsum(sizes) - sizes
+    slot = np.empty(len(row_keys), dtype=np.int64)
+    slot[comp_rows] = np.arange(len(row_keys)) - comp_start[comp_of_row[comp_rows]]
 
-    route_a = 0.0
     # route B's glued partition as one U-index per word; words of null atoms
     # and zero-weight words keep -1, as they change neither formula
-    glue = np.full(size, -1, dtype=np.int64)
-    method = EXACT
-    for b_idx in range(len(beta)):
-        base = float(base_masses[b_idx])
-        if base <= 0.0:
-            continue
-        active = row_elems[row_cut[b_idx] : row_cut[b_idx + 1]]
-        idx = col_words[col_cut[b_idx] : col_cut[b_idx + 1]]
-        if len(active) == 1:
-            glue[idx] = active[0]
-            continue  # a single element carries the atom: zero entropy
-        pairs = slice(pair_cut[b_idx], pair_cut[b_idx + 1])
-        memb = np.zeros((len(active), len(idx)), dtype=bool)
-        memb[row_of[pairs], col_of[pairs]] = True
-        val, cells, closed, _ = _solve_compact(memb, w[idx] / base, node_budget, rng)
+    glue = np.full(U.universe_size, -1, dtype=np.int64)
+
+    # small components: region masses over holder patterns, one batched DP
+    small = sizes <= SMALL_COMPONENT
+    small_idx = np.cumsum(small) - 1
+    row_small = small[comp_of_row]
+    in_small = row_small[row_of]
+    s_rows, s_words = row_of[in_small], words[in_small]
+    first = np.flatnonzero(np.diff(s_words, prepend=-1))  # each word's first pair
+    word_ids = s_words[first]
+    word_comp = small_idx[comp_of_row[s_rows[first]]]
+    pattern = np.add.reduceat(1 << slot[s_rows], first)
+    small_base = comp_base[small]
+    regions = np.bincount(
+        word_comp * _SUBSETS + pattern,
+        weights=w[word_ids] / small_base[word_comp],
+        minlength=len(small_base) * _SUBSETS,
+    ).reshape(-1, _SUBSETS)
+    values, owner = _solve_small(regions)
+    route_a = float(small_base @ values)
+    slot_elems = np.zeros((len(regions), SMALL_COMPONENT), dtype=np.int64)
+    slot_elems[small_idx[comp_of_row[row_small]], slot[row_small]] = row_elems[row_small]
+    glue[word_ids] = slot_elems[word_comp, owner[word_comp, pattern]]
+
+    # large components, in order of their smallest rows: that order fixes
+    # the draws of the "random" greedy passes from the shared rng, and so
+    # the heuristic upper bounds
+    method = BRANCH_AND_BOUND
+    b_pairs = np.flatnonzero(~in_small)
+    b_pairs = b_pairs[np.argsort(comp_of_row[row_of[b_pairs]], kind="stable")]
+    b_comp = comp_of_row[row_of[b_pairs]]
+    big = np.flatnonzero(~small)
+    lows = np.searchsorted(b_comp, big).tolist()
+    highs = np.searchsorted(b_comp, big, side="right").tolist()
+    for c, lo, hi in zip(big.tolist(), lows, highs):
+        pairs = b_pairs[lo:hi]
+        cols, col_of = np.unique(words[pairs], return_inverse=True)
+        memb = np.zeros((sizes[c], len(cols)), dtype=bool)
+        memb[slot[row_of[pairs]], col_of] = True
+        base = float(comp_base[c])
+        val, cells, closed, _ = _minimize_component(
+            memb, w[cols] / base, node_budget, rng
+        )
         route_a += base * val
         if not closed:
             method = HEURISTIC
-        for i, cell in zip(active, cells):
-            glue[idx[cell]] = i
-    if method == EXACT:
-        method = BRANCH_AND_BOUND
+        members = row_elems[comp_rows[comp_start[c] : comp_start[c] + sizes[c]]]
+        for e, cell in zip(members, cells):
+            glue[cols[cell]] = e
     route_b = _partition_entropy(w, glue, len(U), lab_b)
 
     if abs(route_a - route_b) > ROUTE_TOL:

@@ -118,7 +118,7 @@ class WordUniverse:
 
     system: SymbolicSystem
     length: int
-    array: np.ndarray  # (count, length) int8
+    array: np.ndarray  # (count, length), unsigned, wide enough for k - 1
     codes: np.ndarray  # radix codes, most-significant letter first: ascending
 
     @property
@@ -129,6 +129,8 @@ class WordUniverse:
         return tuple(int(v) for v in self.array[i])
 
     def index_of(self, word) -> int:
+        if len(word) != self.length:
+            raise SystemError(f"word {word} does not have length {self.length}")
         code = 0
         k = self.system.alphabet_size
         for letter in word:
@@ -150,6 +152,11 @@ class WordUniverse:
         return idx
 
 
+def letter_dtype(k: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the letters 0..k-1."""
+    return np.min_scalar_type(k - 1)
+
+
 @lru_cache(maxsize=None)
 def word_universe(sys: SymbolicSystem, n: int) -> WordUniverse:
     if not sys.is_word_system:
@@ -163,7 +170,7 @@ def word_universe(sys: SymbolicSystem, n: int) -> WordUniverse:
     words = [(a,) for a in range(k)]
     for _ in range(n - 1):
         words = [w + (b,) for w in words for b in range(k) if t[w[-1], b]]
-    arr = np.array(words, dtype=np.int8).reshape(len(words), n)
+    arr = np.array(words, dtype=letter_dtype(k)).reshape(len(words), n)
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return WordUniverse(sys, n, arr, arr.astype(np.int64) @ powers)
 
@@ -306,7 +313,8 @@ class FactorMap:
         dom = word_universe(self.domain, window + b - 1)
         blocks = word_universe(self.domain, b)
         code = np.array(self.code, dtype=np.int64)
-        letters = np.empty((dom.count, window), dtype=np.int8)
+        kc = self.codomain.alphabet_size
+        letters = np.empty((dom.count, window), dtype=letter_dtype(kc))
         for j in range(window):
             sub = dom.array[:, j : j + b]
             letters[:, j] = code[blocks.indices_of_rows(sub)]

@@ -12,8 +12,7 @@ from coverentropy import bitsets, families
 
 
 def masks_of(fam):
-    return [sorted(bitsets.indices_from_mask(m, fam.universe_size).tolist())
-            for m in fam.elements]
+    return [list(bitsets.iter_bits(m)) for m in fam.elements]
 
 
 def test_finer_basics(three_points, overlap_cover):
@@ -283,6 +282,18 @@ def test_incidence_lists_the_set_bits_of_each_mask(case):
     elems, words = fam.incidence()
     expected = [(m, x) for m, mask in enumerate(masks) for x in range(n) if mask >> x & 1]
     assert list(zip(elems.tolist(), words.tolist())) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=80))
+def test_partition_labels_match_per_mask_definition(labels):
+    n = len(labels)
+    cells = [[x for x in range(n) if labels[x] == c] for c in sorted(set(labels))]
+    fam = ce.family_of_points(ce.permutation(list(range(n))), cells, "partition")
+    expected = np.full(n, -1)
+    for i, m in enumerate(fam.elements):
+        expected[bitsets.bools_from_mask(m, n)] = i
+    assert families.partition_labels(fam).tolist() == expected.tolist()
 
 
 def test_partition_invariant_enforced(three_points):

@@ -219,7 +219,73 @@ def test_overlap_components_match_pairwise_definition(data):
     w = data.draw(
         hnp.arrays(float, m, elements=st.sampled_from([0.0, 0.0, 1e-300, 0.125, 0.5]))
     )
-    assert static_entropy._overlap_components(memb, w) == _pairwise_components(memb, w)
+    atom_of = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, 2)))
+    # the rows as conditional_cover_entropy forms them: one per (atom,
+    # element) pair holding a positive-weight word, pairs sorted by word
+    pos = np.flatnonzero(w > 0.0)
+    cols, elems = np.nonzero(memb[:, pos].T)
+    words = pos[cols]
+    row_keys, row_of = np.unique(atom_of[words] * d + elems, return_inverse=True)
+    labels = static_entropy._component_labels(row_of, words, len(row_keys))
+    got = [row_keys[labels == c].tolist() for c in range(labels.max(initial=-1) + 1)]
+    # atoms ascending, each atom's components by smallest row; rows that hold
+    # no positive-weight word of the atom have no row
+    expected = []
+    for atom in range(3):
+        in_atom = atom_of == atom
+        sub, ws = memb[:, in_atom], w[in_atom]
+        for comp in _pairwise_components(sub, ws):
+            if ws[sub[comp[0]]].sum() > 0.0:
+                expected.append([atom * d + i for i in comp])
+    assert got == expected
+
+
+def _orderings_minimum(holders, weights, d):
+    """Reference: the minimum of sum(phi(cell mass)) over all d! orderings,
+    each word going to its first holder."""
+    best = math.inf
+    for order in itertools.permutations(range(d)):
+        cells = [0.0] * d
+        for p, wt in zip(holders, weights):
+            first = next(i for i in order if (p >> i) & 1)
+            cells[first] += wt
+        best = min(best, sum(static_entropy.phi(c) for c in cells))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_subset_dp_matches_all_orderings(data):
+    n = data.draw(st.integers(1, 5))
+    ds, comps = [], []
+    for _ in range(n):
+        d = data.draw(st.integers(1, 4))
+        holders = data.draw(st.lists(st.integers(1, 2**d - 1), min_size=1, max_size=5))
+        # repeated weights make tied orderings, zeros make empty cells
+        weights = data.draw(
+            st.lists(st.sampled_from([0.0, 0.0625, 0.125, 0.2]),
+                     min_size=len(holders), max_size=len(holders))
+        )
+        ds.append(d)
+        comps.append((holders, weights))
+    regions = np.zeros((n, 2**static_entropy.SMALL_COMPONENT))
+    for c, (holders, weights) in enumerate(comps):
+        np.add.at(regions[c], holders, weights)
+    values, owner = static_entropy._solve_small(regions)
+    for c, (d, (holders, weights)) in enumerate(zip(ds, comps)):
+        best = _orderings_minimum(holders, weights, d)
+        assert values[c] == pytest.approx(best, abs=1e-12)
+        # every pattern goes to one of its holders, as the first holder of
+        # one optimal ordering
+        patterns = range(1, 2**d)
+        assert all((p >> owner[c, p]) & 1 for p in patterns)
+        assert any(
+            all(next(i for i in order if (p >> i) & 1) == owner[c, p] for p in patterns)
+            for order in itertools.permutations(range(static_entropy.SMALL_COMPONENT))
+        )
+        glued = np.zeros(static_entropy.SMALL_COMPONENT)
+        np.add.at(glued, owner[c, holders], weights)
+        assert sum(static_entropy.phi(x) for x in glued) == pytest.approx(best, abs=1e-12)
 
 
 def test_cover_entropy_partition_is_shannon(three_points):

@@ -55,6 +55,27 @@ def test_word_lookup_scales_with_admissible_words():
         systems.word_universe(cyc, 10)
 
 
+def test_word_universe_over_256_letters(full2):
+    # the 8-blocks of the 2-shift as letters: 255 does not fit in int8
+    blocks = systems.power_system(full2, 8)
+    uni = systems.word_universe(blocks, 1)
+    assert uni.count == 256
+    assert all(uni.index_of(uni.word(i)) == i for i in range(uni.count))
+    assert uni.word(255) == (255,)
+    wide = systems.word_universe(ce.full_shift(300), 1)
+    assert wide.index_of((299,)) == 299
+
+
+def test_index_of_rejects_words_of_another_length(full2):
+    uni = systems.word_universe(full2, 2)
+    assert uni.index_of((0, 1)) == 1
+    for word in ((1,), (0, 1, 1), ()):
+        with pytest.raises(systems.SystemError):
+            uni.index_of(word)
+    with pytest.raises(systems.SystemError):
+        ce.family_of_words(full2, 2, [["1"], ["00", "01", "10", "11"]], "cover")
+
+
 def test_word_closure(gm):
     words4 = set(ce.admissible_words(gm, 4))
     words3 = set(ce.admissible_words(gm, 3))
