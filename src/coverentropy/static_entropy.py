@@ -16,17 +16,20 @@ the words whatever the number of atoms.
 
 H(U|beta) is a minimization in each atom, and each atom splits into overlap
 components whose orderings do not interact.  The components of all atoms are
-found in one union-find.  Those of at most SMALL_COMPONENT elements, nearly
-all of them on joined covers, are solved together by one exact numpy DP over
-element subsets.  Each larger component gets four greedy passes and a
-best-first search (`_minimize_component`); its "random" passes draw from
-one generator seeded at 0 per call, in order of atom and then of smallest
-element, which fixes the heuristic upper bounds when the search budget runs
-out.
+found in one union-find.  Every component of at most DP_MAX = 16 elements is
+solved exactly by a subset DP (Held-Karp style, with a zeta transform for
+the masses), batched over all components of one size, those of fewer than 4
+elements padded to 4.  Its cost is O(d 2^d) per component, whatever the
+number of words, and it never reads the node budget.  Only a component of
+more than DP_MAX elements goes to `_minimize_component`: a mass-greedy
+incumbent, then a best-first search that returns the greedy value as a
+flagged upper bound when the budget runs out.  In the acceptance scenarios
+that happens only in criterion 7's windows 5 and 6 (32 and 64 elements).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from . import bitsets, families, measures
 from .families import PARTITION, SetFamily
@@ -265,47 +269,34 @@ def covering_number_exhaustive(U: SetFamily, beta: SetFamily) -> int:
 # cover entropy: exact minimization over ordered-difference partitions
 
 
-def _greedy_order_value(memb: np.ndarray, w: np.ndarray, order_rule: str, rng=None):
-    """One ordering heuristic ("mass": largest residual mass first, "static"
-    or "random"); returns (value, cells as compact bool arrays).  memb is
-    (d, m) bool over positive-weight words."""
+def _mass_greedy(memb: np.ndarray, w: np.ndarray):
+    """The ordering that always places next the element of largest residual
+    mass; returns (value, cells as compact bool arrays).  memb is (d, m) bool
+    over positive-weight words."""
     d, m = memb.shape
     covered = np.zeros(m, dtype=bool)
     value = 0.0
     cells = [None] * d
     remaining = list(range(d))
-    if order_rule == "static":
-        remaining.sort(key=lambda i: -float(w[memb[i]].sum()))
-    elif order_rule == "random":
-        rng.shuffle(remaining)
     while remaining:
-        if order_rule == "mass":
-            caps = [float(w[memb[i] & ~covered].sum()) for i in remaining]
-            pick = remaining[int(np.argmax(caps))]
-        else:
-            pick = remaining[0]
-        remaining.remove(pick)
+        caps = [float(w[memb[i] & ~covered].sum()) for i in remaining]
+        pick = remaining.pop(int(np.argmax(caps)))
         cell = memb[pick] & ~covered
         cells[pick] = cell
-        cmass = float(w[cell].sum())
-        value += phi(cmass)
+        value += phi(float(w[cell].sum()))
         covered |= cell
     return value, cells
 
 
 def _minimize_component(
-    memb: np.ndarray, w: np.ndarray, node_budget: int, rng
+    memb: np.ndarray, w: np.ndarray, node_budget: int
 ) -> tuple[float, list[np.ndarray], bool, int]:
     """Exact minimum of sum(phi(cell mass)) over orderings of one overlap
     component.  Best-first search on union-of-prefix states with an
-    admissible chord lower bound; falls back to the best greedy/incumbent
-    value when the node budget runs out."""
+    admissible chord lower bound; returns the mass-greedy value, not closed,
+    when the node budget runs out."""
     d, m = memb.shape
-    incumbent, inc_cells = math.inf, None
-    for rule in ("mass", "static", "random", "random"):
-        val, cells = _greedy_order_value(memb, w, rule, rng)
-        if val < incumbent - 1e-15:
-            incumbent, inc_cells = val, cells
+    incumbent, inc_cells = _mass_greedy(memb, w)
 
     membmask = [bitsets.mask_from_bools(memb[i]) for i in range(d)]
     full = bitsets.full_mask(m)
@@ -426,68 +417,94 @@ def _component_labels(rows: np.ndarray, words: np.ndarray, n_rows: int) -> np.nd
     return np.unique(roots, return_inverse=True)[1]
 
 
-# Components of at most SMALL_COMPONENT elements are solved together by one
-# exact DP over element subsets; larger ones go to `_minimize_component`.
-SMALL_COMPONENT = 4
-_SUBSETS = 1 << SMALL_COMPONENT
-_PATTERNS = np.arange(_SUBSETS)
+# Components of at most DP_MAX elements are solved exactly by one subset DP
+# per size, whatever the search budget; larger ones go to `_minimize_component`.
+# A component of fewer than _DP_MIN elements is padded to _DP_MIN.
+DP_MAX = 16
+_DP_MIN = 4
+_DP_CHUNK = 1 << 16  # most (component, set, element) entries held at once
 
 
-def _subset_tables() -> tuple[np.ndarray, list]:
-    """The cell table and the steps of the batched subset DP.
+@functools.lru_cache(maxsize=None)
+def _dp_tables(D: int) -> tuple:
+    """The subsets of D elements listed by size, ascending inside a size:
+    `sets[q]` is the set at place q, and layer k spans places q0..q1-1.  Each
+    set T of layer k has one pair (T, i) per member i; the layer's pairs
+    start at p0 and run over the j-th members of all its sets, for j = 0..k-1
+    in turn, so they reshape to (k, q1 - q0).  `prev` holds the place of
+    T - {i} and `tplace` the place of T."""
+    dtype = np.min_scalar_type((1 << D) - 1)
+    bits = np.arange(1 << D, dtype=dtype)[:, None] >> np.arange(D, dtype=dtype)
+    bits &= 1
+    size = bits.sum(axis=1)
+    sets = np.argsort(size, kind="stable").astype(dtype)
+    q = np.searchsorted(size[sets], np.arange(D + 2))
+    place = np.empty(1 << D, dtype=dtype)
+    place[sets] = np.arange(1 << D)
+    prev, tplace, layers, p0 = [], [], [], 0
+    for k in range(1, D + 1):
+        T = sets[q[k] : q[k + 1]]
+        member = np.nonzero(bits[T])[1].reshape(-1, k).T  # (k, sets), ascending
+        prev.append(place[T ^ (1 << member)].ravel())
+        tplace.append(np.tile(np.arange(q[k], q[k + 1], dtype=dtype), k))
+        layers.append((k, int(q[k]), int(q[k + 1]), p0))
+        p0 += k * len(T)
+    return sets, np.concatenate(prev), np.concatenate(tplace), layers
 
-    cell[p, S * SMALL_COMPONENT + i] is 1 when element i, placed right after
-    the elements of S, takes the words whose holders are exactly the elements
-    of pattern p: i is one of them and no element of S is.  Step k lists the
-    subsets S of k elements, each with its members i and the subsets S - {i}
-    it is reached from."""
-    s, i = np.divmod(np.arange(_SUBSETS * SMALL_COMPONENT), SMALL_COMPONENT)
-    p = _PATTERNS[:, None]
-    cell = (((p >> i) & 1) == 1) & ((p & s) == 0)
-    steps = []
-    for k in range(1, SMALL_COMPONENT + 1):
-        sets = np.array([S for S in range(_SUBSETS) if S.bit_count() == k])
-        members = np.array(
-            [[i for i in range(SMALL_COMPONENT) if (S >> i) & 1] for S in sets]
-        )
-        steps.append((sets, sets[:, None] ^ (1 << members), members))
-    return cell.astype(float), steps
+
+def _entr(x: np.ndarray) -> np.ndarray:
+    """phi in place, with round-off below 0 read as 0."""
+    np.maximum(x, 0.0, out=x)
+    return special.entr(x, out=x)
 
 
-_CELL, _STEPS = _subset_tables()
+def _solve_dp(regions: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum of sum(phi(cell mass)) over the orderings of many
+    components of D elements at once.  regions[c, p] is the mass of component
+    c's words whose holders are exactly the elements of bit pattern p; an
+    element that holds nothing pads a smaller component, and its cell stays
+    empty.  Returns each component's minimum and rank[c, i], the place of
+    element i in an optimal ordering: a word's cell is its holder of least
+    rank.
 
-
-def _solve_small(regions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact minimum of sum(phi(cell mass)) over the orderings of many small
-    components at once.  regions[c, p] is the mass of component c's words
-    whose holders are exactly the elements of bit pattern p; a component with
-    fewer than SMALL_COMPONENT elements is padded with elements that hold
-    nothing, whose cells stay empty.  Returns each component's minimum and,
-    for each pattern, the element that takes its words in an optimal
-    ordering: the first of its holders."""
+    D in-place passes give room[S], the mass of the words that no element of
+    S holds.  Element i, placed right after the elements of S, takes
+    room[S] - room[S + i], and best[T] is the least of best[T - i] + phi of
+    that mass over i in T, found one layer of sets at a time, by size."""
     n = len(regions)
-    caps = regions @ _CELL
-    cost = np.zeros_like(caps)
-    pos = caps > 0.0
-    cost[pos] = -caps[pos] * np.log(caps[pos])
-    cost = cost.reshape(n, _SUBSETS, SMALL_COMPONENT)
-    best = np.zeros((n, _SUBSETS))
-    last = np.zeros((n, _SUBSETS), dtype=np.int64)  # placed last among S
-    for sets, prev, members in _STEPS:
-        cand = best[:, prev] + cost[:, prev, members]
-        best[:, sets] = cand.min(axis=2)
-        last[:, sets] = members[np.arange(len(sets)), cand.argmin(axis=2)]
-    # walk the optimal ordering backwards: the element placed after `state`
-    # takes the patterns it holds that no element of `state` holds
-    owner = np.zeros((n, _SUBSETS), dtype=np.int64)
-    state = np.full(n, _SUBSETS - 1)
-    for _ in range(SMALL_COMPONENT):
-        i = last[np.arange(n), state]
-        state = state ^ (1 << i)
-        holds = ((_PATTERNS >> i[:, None]) & 1) == 1
-        took = holds & ((_PATTERNS & state[:, None]) == 0)
-        owner = np.where(took, i[:, None], owner)
-    return best[:, -1], owner
+    sets, prev, tplace, layers = _dp_tables(D)
+    room = regions[:, ::-1].copy()  # room[S] = regions[~S], then superset sums
+    for i in range(D):
+        v = room.reshape(n, -1, 2, 1 << i)
+        v[:, :, 0] += v[:, :, 1]
+    room = room[:, sets]  # from here on a set is addressed by its place
+    whole = n * len(prev) <= _DP_CHUNK
+    if whole:
+        cost = _entr(room[:, prev] - room[:, tplace])
+    best = np.zeros((n, 1 << D))
+    pred = np.zeros((n, 1 << D), dtype=sets.dtype)  # place of T - i, i last in T
+    for k, q0, q1, p0 in layers:
+        prev_k = prev[p0 : p0 + k * (q1 - q0)].reshape(k, q1 - q0)
+        step = q1 - q0 if whole else max(1, _DP_CHUNK // (n * k))
+        for lo in range(q0, q1, step):
+            hi = min(lo + step, q1)
+            pv = prev_k[:, lo - q0 : hi - q0]
+            if whole:
+                cand = cost[:, p0 : p0 + pv.size].reshape(n, k, hi - lo)
+            else:
+                cand = _entr(room[:, pv] - room[:, None, lo:hi])
+            cand += best[:, pv]
+            arg = cand.argmin(axis=1)
+            np.min(cand, axis=1, out=best[:, lo:hi])
+            pred[:, lo:hi] = pv[arg, np.arange(hi - lo)]
+    # walk the optimal ordering back from the full set; the element placed
+    # at each step is the bit by which consecutive sets differ
+    chain = np.full((n, D + 1), (1 << D) - 1, dtype=sets.dtype)
+    rows = np.arange(n)
+    for t in range(D, 0, -1):
+        chain[:, t - 1] = pred[rows, chain[:, t]]
+    chain = sets[chain]
+    return best[:, -1], np.argsort(chain[:, 1:] ^ chain[:, :-1], axis=1)
 
 
 def cover_entropy(
@@ -522,7 +539,6 @@ def conditional_cover_entropy(
         # glued partition of route B is U and the partition formula is exact
         return conditional_entropy(mu, U, beta)
     w = measures.family_weights(mu, U)
-    rng = np.random.default_rng(0)
     lab_b = families.partition_labels(beta)
     base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
 
@@ -549,36 +565,43 @@ def conditional_cover_entropy(
     # and zero-weight words keep -1, as they change neither formula
     glue = np.full(U.universe_size, -1, dtype=np.int64)
 
-    # small components: region masses over holder patterns, one batched DP
-    small = sizes <= SMALL_COMPONENT
-    small_idx = np.cumsum(small) - 1
-    row_small = small[comp_of_row]
-    in_small = row_small[row_of]
-    s_rows, s_words = row_of[in_small], words[in_small]
-    first = np.flatnonzero(np.diff(s_words, prepend=-1))  # each word's first pair
-    word_ids = s_words[first]
-    word_comp = small_idx[comp_of_row[s_rows[first]]]
-    pattern = np.add.reduceat(1 << slot[s_rows], first)
-    small_base = comp_base[small]
+    # components of at most DP_MAX elements: region masses over holder
+    # patterns, laid out by padded size, then one batched DP per size
+    dp = sizes <= DP_MAX
+    in_dp = dp[comp_of_row[row_of]]
+    d_rows, d_words = row_of[in_dp], words[in_dp]
+    first = np.flatnonzero(np.diff(d_words, prepend=-1))  # each word's first pair
+    word_ids = d_words[first]
+    word_comp = comp_of_row[d_rows[first]]
+    pattern = np.add.reduceat(1 << slot[d_rows], first)
+    dims = np.maximum(sizes, _DP_MIN)
+    by_dim = np.flatnonzero(dp)[np.argsort(dims[dp], kind="stable")]
+    span = 1 << dims[by_dim]
+    offset = np.zeros(len(sizes), dtype=np.int64)
+    offset[by_dim] = np.cumsum(span) - span
     regions = np.bincount(
-        word_comp * _SUBSETS + pattern,
-        weights=w[word_ids] / small_base[word_comp],
-        minlength=len(small_base) * _SUBSETS,
-    ).reshape(-1, _SUBSETS)
-    values, owner = _solve_small(regions)
-    route_a = float(small_base @ values)
-    slot_elems = np.zeros((len(regions), SMALL_COMPONENT), dtype=np.int64)
-    slot_elems[small_idx[comp_of_row[row_small]], slot[row_small]] = row_elems[row_small]
-    glue[word_ids] = slot_elems[word_comp, owner[word_comp, pattern]]
+        offset[word_comp] + pattern,
+        weights=w[word_ids] / comp_base[word_comp],
+        minlength=int(span.sum()),
+    )
+    values = np.zeros(len(sizes))
+    rank = np.zeros((len(sizes), DP_MAX), dtype=np.int64)
+    cuts = np.flatnonzero(np.diff(dims[by_dim], prepend=0, append=0))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        comps, D = by_dim[lo:hi], int(dims[by_dim[lo]])
+        block = regions[offset[comps[0]] : offset[comps[0]] + (len(comps) << D)]
+        values[comps], rank[comps, :D] = _solve_dp(block.reshape(-1, 1 << D), D)
+    route_a = float(comp_base @ values)
+    # each word goes to its holder of least rank
+    first_holder = rank[comp_of_row[d_rows], slot[d_rows]] * len(U) + row_elems[d_rows]
+    glue[word_ids] = np.minimum.reduceat(first_holder, first) % len(U)
 
-    # large components, in order of their smallest rows: that order fixes
-    # the draws of the "random" greedy passes from the shared rng, and so
-    # the heuristic upper bounds
+    # larger components: the best-first search, within the node budget
     method = BRANCH_AND_BOUND
-    b_pairs = np.flatnonzero(~in_small)
+    b_pairs = np.flatnonzero(~in_dp)
     b_pairs = b_pairs[np.argsort(comp_of_row[row_of[b_pairs]], kind="stable")]
     b_comp = comp_of_row[row_of[b_pairs]]
-    big = np.flatnonzero(~small)
+    big = np.flatnonzero(~dp)
     lows = np.searchsorted(b_comp, big).tolist()
     highs = np.searchsorted(b_comp, big, side="right").tolist()
     for c, lo, hi in zip(big.tolist(), lows, highs):
@@ -587,9 +610,7 @@ def conditional_cover_entropy(
         memb = np.zeros((sizes[c], len(cols)), dtype=bool)
         memb[slot[row_of[pairs]], col_of] = True
         base = float(comp_base[c])
-        val, cells, closed, _ = _minimize_component(
-            memb, w[cols] / base, node_budget, rng
-        )
+        val, cells, closed, _ = _minimize_component(memb, w[cols] / base, node_budget)
         route_a += base * val
         if not closed:
             method = HEURISTIC

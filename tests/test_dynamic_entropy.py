@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coverentropy as ce
-from coverentropy import dynamic_entropy, measures
+from coverentropy import dynamic_entropy, measures, static_entropy
 
 from conftest import H_THIRD, LOG2, LOG_GOLDEN
 
@@ -168,14 +168,33 @@ def test_refining_partition_rate_budget_fallback(full3):
     assert res.candidate_count == 2  # d! orderings of the two elements
 
 
-def test_truncated_estimates_are_flagged(full3):
+def test_truncated_estimates_are_flagged(full3, monkeypatch):
     mu = ce.bernoulli(full3, [1 / 3, 1 / 3, 1 / 3])
     U = ce.family_of_words(full3, 1, [["0", "1"], ["1", "2"]], "cover")
     X = ce.trivial_partition(full3, 1)
+    # window 4 is one 16-element component: keep it from the subset DP, so
+    # that the search meets the budget
+    monkeypatch.setattr(static_entropy, "DP_MAX", 15)
     est = ce.joined_cover_rate(mu, U, X, n_max=4, node_budget=50)
     assert est.exactness == "truncated"
     assert est.certified_running_inf is not None
     assert est.certified_n_max < 4
+
+
+@pytest.mark.parametrize("p, a4", [
+    ((1 / 3, 1 / 3, 1 / 3), 2.3219882142337123),
+    ((1 / 4, 1 / 2, 1 / 4), 1.9353780639910578),
+])
+def test_criterion7_window4_is_exact(full3, p, a4):
+    # window 4 of criterion 7's cover is one 16-element component, which the
+    # subset DP solves exactly; the values are the recorded upper bounds
+    mu = ce.bernoulli(full3, list(p))
+    U = ce.family_of_words(full3, 1, [["0", "1"], ["1", "2"]], "cover")
+    X = ce.trivial_partition(full3, 1)
+    est = ce.joined_cover_rate(mu, U, X, n_max=4, node_budget=20000)
+    assert all(e.exact for e in est.entries)
+    assert est.exactness == "upper_bound_certified"
+    assert est.entries[3].value == pytest.approx(a4, abs=1e-9)
 
 
 def test_power_identity_m1_is_identity(gm, parry):

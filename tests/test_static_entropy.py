@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,11 +257,11 @@ def _orderings_minimum(holders, weights, d):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batched_subset_dp_matches_all_orderings(data):
-    n = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 4))
     ds, comps = [], []
     for _ in range(n):
-        d = data.draw(st.integers(1, 4))
-        holders = data.draw(st.lists(st.integers(1, 2**d - 1), min_size=1, max_size=5))
+        d = data.draw(st.integers(1, 7))
+        holders = data.draw(st.lists(st.integers(1, 2**d - 1), min_size=1, max_size=6))
         # repeated weights make tied orderings, zeros make empty cells
         weights = data.draw(
             st.lists(st.sampled_from([0.0, 0.0625, 0.125, 0.2]),
@@ -268,24 +269,40 @@ def test_batched_subset_dp_matches_all_orderings(data):
         )
         ds.append(d)
         comps.append((holders, weights))
-    regions = np.zeros((n, 2**static_entropy.SMALL_COMPONENT))
+    # one batch of the largest size: smaller components are padded with
+    # elements that hold nothing
+    D = max(4, *ds)
+    regions = np.zeros((n, 2**D))
     for c, (holders, weights) in enumerate(comps):
         np.add.at(regions[c], holders, weights)
-    values, owner = static_entropy._solve_small(regions)
+    values, rank = static_entropy._solve_dp(regions, D)
     for c, (d, (holders, weights)) in enumerate(zip(ds, comps)):
         best = _orderings_minimum(holders, weights, d)
         assert values[c] == pytest.approx(best, abs=1e-12)
-        # every pattern goes to one of its holders, as the first holder of
-        # one optimal ordering
-        patterns = range(1, 2**d)
-        assert all((p >> owner[c, p]) & 1 for p in patterns)
-        assert any(
-            all(next(i for i in order if (p >> i) & 1) == owner[c, p] for p in patterns)
-            for order in itertools.permutations(range(static_entropy.SMALL_COMPONENT))
-        )
-        glued = np.zeros(static_entropy.SMALL_COMPONENT)
-        np.add.at(glued, owner[c, holders], weights)
+        # the ranks are one ordering of the D elements, and giving every
+        # pattern to its first holder in that ordering attains the minimum
+        assert sorted(rank[c]) == list(range(D))
+        first = [min((i for i in range(d) if (p >> i) & 1), key=lambda i: rank[c, i])
+                 for p in holders]
+        glued = np.zeros(D)
+        np.add.at(glued, first, weights)
         assert sum(static_entropy.phi(x) for x in glued) == pytest.approx(best, abs=1e-12)
+
+
+def test_subset_dp_memory_at_16_elements():
+    # the cached tables of the largest DP stay small, and one call on two
+    # 16-element components (criterion 7's window 4) holds at most 8 MB
+    tables = static_entropy._dp_tables(16)
+    assert sum(t.nbytes for t in tables[:3]) < 3 * 2**20
+    regions = np.random.default_rng(0).random((2, 2**16))
+    regions /= regions.sum(axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        static_entropy._solve_dp(regions, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_cover_entropy_partition_is_shannon(three_points):
@@ -371,14 +388,17 @@ def test_zero_mass_atoms_contribute_nothing(three_points, overlap_cover):
     assert v.nats == pytest.approx(0.0)
 
 
-def test_heuristic_flag_on_tiny_budget(full3):
+def test_heuristic_flag_on_tiny_budget(full3, monkeypatch):
     mu = ce.bernoulli(full3, [1 / 3, 1 / 3, 1 / 3])
     U = ce.family_of_words(full3, 1, [["0", "1"], ["1", "2"]], "cover")
     joined = ce.dynamical_join(U, 0, 3)
     X = ce.extend_window(ce.trivial_partition(full3, 1), joined.window)
-    v = ce.conditional_cover_entropy(mu, joined, X, node_budget=5, ustar_budget=0)
-    assert v.method == "heuristic_upper_bound" and v.certificate is None
-    exact = ce.conditional_cover_entropy(mu, joined, X, node_budget=10**6,
+    # the subset DP solves this 16-element component exactly at any budget
+    exact = ce.conditional_cover_entropy(mu, joined, X, node_budget=5,
                                          ustar_budget=0)
     assert exact.method == "branch_and_bound"
+    # below 16 elements the DP declines, and the search runs out of budget
+    monkeypatch.setattr(static_entropy, "DP_MAX", 15)
+    v = ce.conditional_cover_entropy(mu, joined, X, node_budget=5, ustar_budget=0)
+    assert v.method == "heuristic_upper_bound" and v.certificate is None
     assert v.nats >= exact.nats - 1e-12  # heuristic stays an upper bound
