@@ -585,7 +585,7 @@ def conditional_cover_entropy(
         minlength=int(span.sum()),
     )
     values = np.zeros(len(sizes))
-    rank = np.zeros((len(sizes), DP_MAX), dtype=np.int64)
+    rank = np.zeros((len(sizes), max(DP_MAX, _DP_MIN)), dtype=np.int64)
     cuts = np.flatnonzero(np.diff(dims[by_dim], prepend=0, append=0))
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         comps, D = by_dim[lo:hi], int(dims[by_dim[lo]])

@@ -397,7 +397,8 @@ def test_heuristic_flag_on_tiny_budget(full3, monkeypatch):
     exact = ce.conditional_cover_entropy(mu, joined, X, node_budget=5,
                                          ustar_budget=0)
     assert exact.method == "branch_and_bound"
-    # below 16 elements the DP declines, and the search runs out of budget
+    # with DP_MAX at 15 the component goes to the search, which runs out of
+    # budget
     monkeypatch.setattr(static_entropy, "DP_MAX", 15)
     v = ce.conditional_cover_entropy(mu, joined, X, node_budget=5, ustar_budget=0)
     assert v.method == "heuristic_upper_bound" and v.certificate is None
