@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,6 +277,11 @@ def test_batched_subset_dp_matches_all_orderings(data):
     for c, (holders, weights) in enumerate(comps):
         np.add.at(regions[c], holders, weights)
     values, rank = static_entropy._solve_dp(regions, D)
+    # large batches take the costs in chunks; one entry per chunk must give
+    # the same arithmetic
+    with mock.patch.object(static_entropy, "_DP_CHUNK", 1):
+        chunked = static_entropy._solve_dp(regions, D)
+    assert np.array_equal(chunked[0], values) and np.array_equal(chunked[1], rank)
     for c, (d, (holders, weights)) in enumerate(zip(ds, comps)):
         best = _orderings_minimum(holders, weights, d)
         assert values[c] == pytest.approx(best, abs=1e-12)
