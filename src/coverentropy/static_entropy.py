@@ -478,6 +478,9 @@ def _solve_dp(regions: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
         v = room.reshape(n, -1, 2, 1 << i)
         v[:, :, 0] += v[:, :, 1]
     room = room[:, sets]  # from here on a set is addressed by its place
+    # a small batch takes all its costs in one gather, as numpy's per-call
+    # overhead dominates at a few elements; a large one takes them per chunk
+    # of sets, which bounds the memory
     whole = n * len(prev) <= _DP_CHUNK
     if whole:
         cost = _entr(room[:, prev] - room[:, tplace])
@@ -498,7 +501,8 @@ def _solve_dp(regions: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
             np.min(cand, axis=1, out=best[:, lo:hi])
             pred[:, lo:hi] = pv[arg, np.arange(hi - lo)]
     # walk the optimal ordering back from the full set; the element placed
-    # at each step is the bit by which consecutive sets differ
+    # at each step is the bit by which consecutive sets differ, and sorting
+    # those bits gives each element's place
     chain = np.full((n, D + 1), (1 << D) - 1, dtype=sets.dtype)
     rows = np.arange(n)
     for t in range(D, 0, -1):
