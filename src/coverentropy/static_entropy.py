@@ -18,9 +18,11 @@ H(U|beta) is a minimization in each atom, and each atom splits into overlap
 components whose orderings do not interact.  The components of all atoms are
 found in one union-find.  Every component of at most DP_MAX = 16 elements is
 solved exactly by a subset DP (Held-Karp style, with a zeta transform for
-the masses), batched over all components of one size, those of fewer than 4
-elements padded to 4.  Its cost is O(d 2^d) per component, whatever the
-number of words, and it never reads the node budget.  Only a component of
+the masses), batched over components of one size, those of fewer than 4
+elements padded to 4, in groups small enough that one DP holds a bounded
+amount of memory.  Its cost is O(d 2^d) per component and does not depend
+on the number of words: a 16-element component that holds one word costs
+as much as one that holds thousands.  It never reads the node budget.  Only a component of
 more than DP_MAX elements goes to `_minimize_component`: a mass-greedy
 incumbent, then a best-first search that returns the greedy value as a
 flagged upper bound when the budget runs out.  In the acceptance scenarios
@@ -417,12 +419,15 @@ def _component_labels(rows: np.ndarray, words: np.ndarray, n_rows: int) -> np.nd
     return np.unique(roots, return_inverse=True)[1]
 
 
-# Components of at most DP_MAX elements are solved exactly by one subset DP
-# per size, whatever the search budget; larger ones go to `_minimize_component`.
-# A component of fewer than _DP_MIN elements is padded to _DP_MIN.
+# Components of at most DP_MAX elements are solved exactly by batched subset
+# DPs, whatever the search budget; larger ones go to `_minimize_component`.
+# A component of fewer than _DP_MIN elements is padded to _DP_MIN.  One DP
+# holds at most _DP_CHUNK (component, set) entries per array, or one
+# component's 2^D if more, and at most _DP_CHUNK (component, set, element)
+# costs at once.
 DP_MAX = 16
 _DP_MIN = 4
-_DP_CHUNK = 1 << 16  # most (component, set, element) entries held at once
+_DP_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -432,7 +437,7 @@ def _dp_tables(D: int) -> tuple:
     set T of layer k has one pair (T, i) per member i; the layer's pairs
     start at p0 and run over the j-th members of all its sets, for j = 0..k-1
     in turn, so they reshape to (k, q1 - q0).  `prev` holds the place of
-    T - {i} and `tplace` the place of T."""
+    T - {i}."""
     dtype = np.min_scalar_type((1 << D) - 1)
     bits = np.arange(1 << D, dtype=dtype)[:, None] >> np.arange(D, dtype=dtype)
     bits &= 1
@@ -441,15 +446,14 @@ def _dp_tables(D: int) -> tuple:
     q = np.searchsorted(size[sets], np.arange(D + 2))
     place = np.empty(1 << D, dtype=dtype)
     place[sets] = np.arange(1 << D)
-    prev, tplace, layers, p0 = [], [], [], 0
+    prev, layers, p0 = [], [], 0
     for k in range(1, D + 1):
         T = sets[q[k] : q[k + 1]]
         member = np.nonzero(bits[T])[1].reshape(-1, k).T  # (k, sets), ascending
         prev.append(place[T ^ (1 << member)].ravel())
-        tplace.append(np.tile(np.arange(q[k], q[k + 1], dtype=dtype), k))
         layers.append((k, int(q[k]), int(q[k + 1]), p0))
         p0 += k * len(T)
-    return sets, np.concatenate(prev), np.concatenate(tplace), layers
+    return sets, np.concatenate(prev), layers
 
 
 def _entr(x: np.ndarray) -> np.ndarray:
@@ -472,30 +476,21 @@ def _solve_dp(regions: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
     room[S] - room[S + i], and best[T] is the least of best[T - i] + phi of
     that mass over i in T, found one layer of sets at a time, by size."""
     n = len(regions)
-    sets, prev, tplace, layers = _dp_tables(D)
+    sets, prev, layers = _dp_tables(D)
     room = regions[:, ::-1].copy()  # room[S] = regions[~S], then superset sums
     for i in range(D):
         v = room.reshape(n, -1, 2, 1 << i)
         v[:, :, 0] += v[:, :, 1]
     room = room[:, sets]  # from here on a set is addressed by its place
-    # a small batch takes all its costs in one gather, as numpy's per-call
-    # overhead dominates at a few elements; a large one takes them per chunk
-    # of sets, which bounds the memory
-    whole = n * len(prev) <= _DP_CHUNK
-    if whole:
-        cost = _entr(room[:, prev] - room[:, tplace])
     best = np.zeros((n, 1 << D))
     pred = np.zeros((n, 1 << D), dtype=sets.dtype)  # place of T - i, i last in T
     for k, q0, q1, p0 in layers:
         prev_k = prev[p0 : p0 + k * (q1 - q0)].reshape(k, q1 - q0)
-        step = q1 - q0 if whole else max(1, _DP_CHUNK // (n * k))
+        step = max(1, _DP_CHUNK // (n * k))  # sets per chunk of costs
         for lo in range(q0, q1, step):
             hi = min(lo + step, q1)
             pv = prev_k[:, lo - q0 : hi - q0]
-            if whole:
-                cand = cost[:, p0 : p0 + pv.size].reshape(n, k, hi - lo)
-            else:
-                cand = _entr(room[:, pv] - room[:, None, lo:hi])
+            cand = _entr(room[:, pv] - room[:, None, lo:hi])
             cand += best[:, pv]
             arg = cand.argmin(axis=1)
             np.min(cand, axis=1, out=best[:, lo:hi])
@@ -569,8 +564,8 @@ def conditional_cover_entropy(
     # and zero-weight words keep -1, as they change neither formula
     glue = np.full(U.universe_size, -1, dtype=np.int64)
 
-    # components of at most DP_MAX elements: region masses over holder
-    # patterns, laid out by padded size, then one batched DP per size
+    # components of at most DP_MAX elements: each word's holder pattern and
+    # mass, relative to its atom
     dp = sizes <= DP_MAX
     in_dp = dp[comp_of_row[row_of]]
     d_rows, d_words = row_of[in_dp], words[in_dp]
@@ -578,23 +573,33 @@ def conditional_cover_entropy(
     word_ids = d_words[first]
     word_comp = comp_of_row[d_rows[first]]
     pattern = np.add.reduceat(1 << slot[d_rows], first)
+    word_mass = w[word_ids] / comp_base[word_comp]
+    # the components by padded size, cut into groups of one size D and at
+    # most max(1, _DP_CHUNK >> D) components, so that one DP holds a bounded
+    # number of regions; each group's words are one run of `word_order`
     dims = np.maximum(sizes, _DP_MIN)
     by_dim = np.flatnonzero(dp)[np.argsort(dims[dp], kind="stable")]
-    span = 1 << dims[by_dim]
-    offset = np.zeros(len(sizes), dtype=np.int64)
-    offset[by_dim] = np.cumsum(span) - span
-    regions = np.bincount(
-        offset[word_comp] + pattern,
-        weights=w[word_ids] / comp_base[word_comp],
-        minlength=int(span.sum()),
-    )
+    dim = dims[by_dim]
+    place = np.arange(len(by_dim)) - np.searchsorted(dim, dim)  # inside its size
+    local = place % np.maximum(1, _DP_CHUNK >> dim)  # inside its group
+    cuts = np.append(np.flatnonzero(local == 0), len(by_dim))
+    position = np.zeros(len(sizes), dtype=np.int64)
+    position[by_dim] = np.arange(len(by_dim))
+    word_pos = position[word_comp]
+    word_order = np.argsort(word_pos, kind="stable")
+    word_cuts = np.searchsorted(word_pos[word_order], cuts).tolist()
     values = np.zeros(len(sizes))
     rank = np.zeros((len(sizes), max(DP_MAX, _DP_MIN)), dtype=np.int64)
-    cuts = np.flatnonzero(np.diff(dims[by_dim], prepend=0, append=0))
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        comps, D = by_dim[lo:hi], int(dims[by_dim[lo]])
-        block = regions[offset[comps[0]] : offset[comps[0]] + (len(comps) << D)]
-        values[comps], rank[comps, :D] = _solve_dp(block.reshape(-1, 1 << D), D)
+    for g, (lo, hi) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
+        D = int(dim[lo])
+        ws = word_order[word_cuts[g] : word_cuts[g + 1]]
+        regions = np.bincount(
+            (local[word_pos[ws]] << D) + pattern[ws],
+            weights=word_mass[ws],
+            minlength=(hi - lo) << D,
+        )
+        comps = by_dim[lo:hi]
+        values[comps], rank[comps, :D] = _solve_dp(regions.reshape(-1, 1 << D), D)
     route_a = float(comp_base @ values)
     # each word goes to its holder of least rank
     first_holder = rank[comp_of_row[d_rows], slot[d_rows]] * len(U) + row_elems[d_rows]

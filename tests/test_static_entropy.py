@@ -258,7 +258,7 @@ def _orderings_minimum(holders, weights, d):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batched_subset_dp_matches_all_orderings(data):
-    n = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
     ds, comps = [], []
     for _ in range(n):
         d = data.draw(st.integers(1, 7))
@@ -277,8 +277,8 @@ def test_batched_subset_dp_matches_all_orderings(data):
     for c, (holders, weights) in enumerate(comps):
         np.add.at(regions[c], holders, weights)
     values, rank = static_entropy._solve_dp(regions, D)
-    # large batches take the costs in chunks; one entry per chunk must give
-    # the same arithmetic
+    # the costs are taken in chunks of sets; chunks of one set must give the
+    # same arithmetic
     with mock.patch.object(static_entropy, "_DP_CHUNK", 1):
         chunked = static_entropy._solve_dp(regions, D)
     assert np.array_equal(chunked[0], values) and np.array_equal(chunked[1], rank)
@@ -299,7 +299,7 @@ def test_subset_dp_memory_at_16_elements():
     # the cached tables of the largest DP stay small, and one call on two
     # 16-element components (criterion 7's window 4) holds at most 8 MB
     tables = static_entropy._dp_tables(16)
-    assert sum(t.nbytes for t in tables[:3]) < 3 * 2**20
+    assert sum(t.nbytes for t in tables[:2]) < 3 * 2**20
     regions = np.random.default_rng(0).random((2, 2**16))
     regions /= regions.sum(axis=1, keepdims=True)
     tracemalloc.start()
@@ -309,6 +309,75 @@ def test_subset_dp_memory_at_16_elements():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_many_16_element_components_hold_bounded_memory():
+    # 40 single-point atoms, each met by 15 or 16 of the cover's elements:
+    # 40 components of one word each, which one DP for all of them would
+    # hold as 16 MB of regions per array; in groups they hold a few MB
+    sys = ce.permutation(list(range(40)))
+    mu = ce.uniform_cycle_measure(sys)
+    U = ce.family_of_points(sys, [[x for x in range(40) if x != k] for k in range(16)],
+                            "cover")
+    beta = ce.family_of_points(sys, [[x] for x in range(40)], "partition")
+    static_entropy._dp_tables(15), static_entropy._dp_tables(16)  # cached
+    tracemalloc.start()
+    try:
+        v = ce.conditional_cover_entropy(mu, U, beta, node_budget=1, ustar_budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.method == "branch_and_bound" and v.nats == pytest.approx(0.0, abs=1e-12)
+    assert peak < 8 * 2**20
+
+
+def _cover_entropy_by_orderings(weights, elements, atoms):
+    """Reference: in each atom, the minimum over all orderings of the
+    elements that meet it, each point going to its first holder."""
+    total = 0.0
+    for atom in atoms:
+        base = sum(weights[x] for x in atom)
+        if base == 0.0:
+            continue
+        meeting = [e & atom for e in elements if e & atom]
+        holders = [sum(1 << i for i, e in enumerate(meeting) if x in e) for x in atom]
+        total += base * _orderings_minimum(
+            holders, [weights[x] / base for x in atom], len(meeting)
+        )
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cover_entropy_of_mixed_components_matches_all_orderings(data):
+    # components of 1 to 6 elements across atoms go to DPs of sizes 4, 5
+    # and 6, in groups that a small _DP_CHUNK cuts down to one component;
+    # every group size must give the same numbers, equal to the brute force
+    m = data.draw(st.integers(2, 12))
+    weights = data.draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=m, max_size=m).filter(any)
+    )
+    weights = [x / sum(weights) for x in weights]
+    elements = data.draw(
+        st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=6)
+    )
+    missing = frozenset(range(m)).difference(*elements)
+    if missing:
+        elements[-1] = elements[-1] | missing
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    atoms = [frozenset(x for x in range(m) if labels[x] == a) for a in set(labels)]
+    sys = ce.permutation(list(range(m)))
+    mu = ce.cycle_measure(sys, weights)
+    U = ce.family_of_points(sys, [sorted(e) for e in elements], "cover")
+    beta = ce.family_of_points(sys, [sorted(a) for a in atoms], "partition")
+    v = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=0)
+    assert v.method == "branch_and_bound"
+    assert v.nats == pytest.approx(
+        _cover_entropy_by_orderings(weights, elements, atoms), abs=1e-12
+    )
+    for chunk in (1, 40):
+        with mock.patch.object(static_entropy, "_DP_CHUNK", chunk):
+            assert ce.conditional_cover_entropy(mu, U, beta, ustar_budget=0) == v
 
 
 def test_cover_entropy_partition_is_shannon(three_points):
