@@ -22,11 +22,12 @@ the masses), batched over components of one size, those of fewer than 4
 elements padded to 4, in groups small enough that one DP holds a bounded
 amount of memory.  Its cost is O(d 2^d) per component and does not depend
 on the number of words: a 16-element component that holds one word costs
-as much as one that holds thousands.  It never reads the node budget.  Only a component of
-more than DP_MAX elements goes to `_minimize_component`: a mass-greedy
-incumbent, then a best-first search that returns the greedy value as a
-flagged upper bound when the budget runs out.  In the acceptance scenarios
-that happens only in criterion 7's windows 5 and 6 (32 and 64 elements).
+as much as one that holds thousands.  It never reads the node budget.
+Only a component of more than DP_MAX elements goes to `_minimize_component`:
+a mass-greedy incumbent, then a best-first search that returns the greedy
+value as a flagged upper bound when the budget runs out.  In the acceptance
+scenarios that happens only in criterion 7's windows 5 and 6 (32 and 64
+elements).
 """
 
 from __future__ import annotations
@@ -422,9 +423,8 @@ def _component_labels(rows: np.ndarray, words: np.ndarray, n_rows: int) -> np.nd
 # Components of at most DP_MAX elements are solved exactly by batched subset
 # DPs, whatever the search budget; larger ones go to `_minimize_component`.
 # A component of fewer than _DP_MIN elements is padded to _DP_MIN.  One DP
-# holds at most _DP_CHUNK (component, set) entries per array, or one
-# component's 2^D if more, and at most _DP_CHUNK (component, set, element)
-# costs at once.
+# holds at most _DP_CHUNK (component, set) entries per array and at most
+# _DP_CHUNK (component, set, element) costs at once.
 DP_MAX = 16
 _DP_MIN = 4
 _DP_CHUNK = 1 << 16

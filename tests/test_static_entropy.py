@@ -313,8 +313,8 @@ def test_subset_dp_memory_at_16_elements():
 
 def test_many_16_element_components_hold_bounded_memory():
     # 40 single-point atoms, each met by 15 or 16 of the cover's elements:
-    # 40 components of one word each, which one DP for all of them would
-    # hold as 16 MB of regions per array; in groups they hold a few MB
+    # 40 components of one word each, whose regions take 16 MB all at once;
+    # in groups the call holds a few MB
     sys = ce.permutation(list(range(40)))
     mu = ce.uniform_cycle_measure(sys)
     U = ce.family_of_points(sys, [[x for x in range(40) if x != k] for k in range(16)],
@@ -358,9 +358,9 @@ def test_cover_entropy_of_mixed_components_matches_all_orderings(data):
         st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=m, max_size=m).filter(any)
     )
     weights = [x / sum(weights) for x in weights]
-    elements = data.draw(
-        st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=6)
-    )
+    elements = data.draw(st.lists(
+        st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=6
+    ))
     missing = frozenset(range(m)).difference(*elements)
     if missing:
         elements[-1] = elements[-1] | missing
