@@ -20,9 +20,10 @@ found in one union-find.  Every component of at most DP_MAX = 16 elements is
 solved exactly by a subset DP (Held-Karp style, with a zeta transform for
 the masses), batched over components of one size, those of fewer than 4
 elements padded to 4, in groups small enough that one DP holds a bounded
-amount of memory.  Its cost is O(d 2^d) per component and does not depend
-on the number of words: a 16-element component that holds one word costs
-as much as one that holds thousands.  It never reads the node budget.
+amount of memory.  An element that holds the same words as an earlier one
+of its component gets an empty cell in every ordering, so it leaves the DP.
+The cost is O(d 2^d) per component, d counting only the elements that stay,
+whatever the number of words, and the DP never reads the node budget.
 Only a component of more than DP_MAX elements goes to `_minimize_component`:
 a mass-greedy incumbent, then a best-first search that returns the greedy
 value as a flagged upper bound when the budget runs out.  In the acceptance
@@ -573,11 +574,29 @@ def conditional_cover_entropy(
     word_ids = d_words[first]
     word_comp = comp_of_row[d_rows[first]]
     pattern = np.add.reduceat(1 << slot[d_rows], first)
+    d_slot, d_sizes = slot[d_rows], sizes
+    if np.any(sizes[dp] > _DP_MIN):
+        # an element that holds the same words as an earlier one of its
+        # component gets an empty cell in every ordering, so it leaves the
+        # DP; only a component of more than _DP_MIN elements can shrink.
+        # agree[c, s] holds the elements of c that agree with its element s
+        # on every word's holder pattern, that is, hold the same words
+        holds = (pattern[:, None] >> np.arange(DP_MAX)) & 1
+        agree = np.full((len(sizes), DP_MAX), -1)
+        np.bitwise_and.at(agree, word_comp, pattern[:, None] ^ (holds - 1))
+        kept = (agree & ((1 << np.arange(DP_MAX)) - 1)) == 0
+        kept &= np.arange(DP_MAX) < sizes[:, None]
+        keep = kept[comp_of_row[d_rows], d_slot]
+        d_rows, d_words = d_rows[keep], d_words[keep]
+        d_slot = (np.cumsum(kept, axis=1) - 1)[comp_of_row[d_rows], slot[d_rows]]
+        d_sizes = kept.sum(axis=1)
+        first = np.flatnonzero(np.diff(d_words, prepend=-1))
+        pattern = np.add.reduceat(1 << d_slot, first)
     word_mass = w[word_ids] / comp_base[word_comp]
     # the components by padded size, cut into groups of one size D and at
     # most max(1, _DP_CHUNK >> D) components, so that one DP holds a bounded
     # number of regions; each group's words are one run of `word_order`
-    dims = np.maximum(sizes, _DP_MIN)
+    dims = np.maximum(d_sizes, _DP_MIN)
     by_dim = np.flatnonzero(dp)[np.argsort(dims[dp], kind="stable")]
     dim = dims[by_dim]
     place = np.arange(len(by_dim)) - np.searchsorted(dim, dim)  # inside its size
@@ -602,7 +621,7 @@ def conditional_cover_entropy(
         values[comps], rank[comps, :D] = _solve_dp(regions.reshape(-1, 1 << D), D)
     route_a = float(comp_base @ values)
     # each word goes to its holder of least rank
-    first_holder = rank[comp_of_row[d_rows], slot[d_rows]] * len(U) + row_elems[d_rows]
+    first_holder = rank[comp_of_row[d_rows], d_slot] * len(U) + row_elems[d_rows]
     glue[word_ids] = np.minimum.reduceat(first_holder, first) % len(U)
 
     # larger components: the best-first search, within the node budget

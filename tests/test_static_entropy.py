@@ -335,6 +335,34 @@ def test_many_16_element_components_hold_bounded_memory():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("distinct, D", [
+    ([{0, 1, 2}], 4),
+    ([{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}], 6),
+])
+def test_identical_elements_leave_the_subset_dp(distinct, D):
+    # 10 atoms of 3 points; in each, the 15 elements of the cover hold only
+    # the sets in `distinct`, so each component is len(distinct) elements to
+    # the DP (at least 4), and its minimum is that of the distinct sets
+    weights = [(1 + x % 3) / 60 for x in range(30)]
+    sys = ce.permutation(list(range(30)))
+    mu = ce.cycle_measure(sys, weights)
+    sets = [distinct[k % len(distinct)] for k in range(15)]
+    U = ce.family_of_points(
+        sys, [[x for x in range(30) if x % 3 in e] for e in sets], "cover"
+    )
+    atoms = [frozenset(range(a, a + 3)) for a in range(0, 30, 3)]
+    beta = ce.family_of_points(sys, [sorted(a) for a in atoms], "partition")
+    with mock.patch.object(static_entropy, "_solve_dp",
+                           wraps=static_entropy._solve_dp) as solve:
+        v = ce.conditional_cover_entropy(mu, U, beta, node_budget=1, ustar_budget=0)
+    assert [c.args[1] for c in solve.call_args_list] == [D]
+    assert v.method == "branch_and_bound"
+    elements = [frozenset(x for x in range(30) if x % 3 in e) for e in distinct]
+    assert v.nats == pytest.approx(
+        _cover_entropy_by_orderings(weights, elements, atoms), abs=1e-12
+    )
+
+
 def _cover_entropy_by_orderings(weights, elements, atoms):
     """Reference: in each atom, the minimum over all orderings of the
     elements that meet it, each point going to its first holder."""
