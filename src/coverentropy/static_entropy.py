@@ -585,7 +585,7 @@ def conditional_cover_entropy(
         agree = np.full((len(sizes), DP_MAX), -1)
         np.bitwise_and.at(agree, word_comp, pattern[:, None] ^ (holds - 1))
         kept = (agree & ((1 << np.arange(DP_MAX)) - 1)) == 0
-        kept &= np.arange(DP_MAX) < sizes[:, None]
+        kept &= np.arange(DP_MAX) < sizes[:, None]  # slots past the size hold nothing
         keep = kept[comp_of_row[d_rows], d_slot]
         d_rows, d_words = d_rows[keep], d_words[keep]
         d_slot = (np.cumsum(kept, axis=1) - 1)[comp_of_row[d_rows], slot[d_rows]]
