@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from . import bitsets, systems
 from .systems import SymbolicSystem
@@ -39,63 +40,16 @@ class ReducibleChainError(MeasureError):
         self.classes = classes
 
 
-def _strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Kosaraju on a boolean adjacency matrix."""
-    n = len(adj)
-    order = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [(s, 0)]
-        seen[s] = True
-        while stack:
-            v, i = stack.pop()
-            nxt = None
-            for j in range(i, n):
-                if adj[v, j] and not seen[j]:
-                    nxt = (v, j + 1, j)
-                    break
-            if nxt is None:
-                order.append(v)
-            else:
-                v, i, j = nxt
-                stack.append((v, i))
-                seen[j] = True
-                stack.append((j, 0))
-    comp = [-1] * n
-    label = 0
-    for v in reversed(order):
-        if comp[v] != -1:
-            continue
-        stack = [v]
-        comp[v] = label
-        while stack:
-            x = stack.pop()
-            for y in range(n):
-                if adj[y, x] and comp[y] == -1:
-                    comp[y] = label
-                    stack.append(y)
-        label += 1
-    out = [[] for _ in range(label)]
-    for v, c in enumerate(comp):
-        out[c].append(v)
-    return out
-
-
 def recurrent_classes(P: np.ndarray) -> list[list[int]]:
     """Recurrent classes of a (sub)stochastic matrix: strongly connected
     components with no positive edge leaving them and at least one internal
     edge (a dead state is transient, not a class)."""
     pos = P > 0
-    classes = []
-    for comp in _strongly_connected_components(pos):
-        inside = set(comp)
-        if any(pos[v, j] for v in comp for j in range(len(P)) if j not in inside):
-            continue
-        if any(pos[v, j] for v in comp for j in comp):
-            classes.append(sorted(comp))
-    return sorted(classes)
+    _, comp = csgraph.connected_components(pos, connection="strong")
+    src, dst = comp[np.argwhere(pos).T]
+    # a component with an edge and no edge leaving it has an internal edge
+    closed = np.setdiff1d(src, src[src != dst])
+    return sorted(np.flatnonzero(comp == c).tolist() for c in closed)
 
 
 def stationary_of(P) -> np.ndarray:

@@ -196,26 +196,18 @@ def _measure_parameterization(sys: systems.SymbolicSystem):
     row.  The chain is irreducible because every allowed edge gets positive
     probability."""
     allowed = np.array(sys.transition, dtype=bool)
-    slots = []
-    for s in range(sys.alphabet_size):
-        cols = np.nonzero(allowed[s])[0]
-        if len(cols) > 1:
-            slots.append((s, cols))
-    dim = sum(len(cols) for _, cols in slots)
+    free = [(s, np.flatnonzero(row)) for s, row in enumerate(allowed) if row.sum() > 1]
+    dim = sum(len(cols) for _, cols in free)
 
     def build(theta: np.ndarray) -> measures.InvariantMeasure:
-        P = np.zeros((sys.alphabet_size, sys.alphabet_size))
+        P = allowed.astype(float)
         pos = 0
-        for s in range(sys.alphabet_size):
-            cols = np.nonzero(allowed[s])[0]
-            if len(cols) == 1:
-                P[s, cols[0]] = 1.0
-            else:
-                z = theta[pos : pos + len(cols)]
-                pos += len(cols)
-                z = z - z.max()
-                ez = np.exp(z)
-                P[s, cols] = ez / ez.sum()
+        for s, cols in free:
+            z = theta[pos : pos + len(cols)]
+            pos += len(cols)
+            z = z - z.max()
+            ez = np.exp(z)
+            P[s, cols] = ez / ez.sum()
         pi = measures.stationary_of(P)
         return measures.InvariantMeasure(measures.MARKOV, sys, pi=pi, P=P)
 
@@ -237,10 +229,7 @@ def variational_search(
     the allowed edges, derivative-free simplex search, multi-start) and
     compare the supremum estimate against the combinatorial rate.  Both sides
     are upper-bound estimates, so the verdict is never `violated`."""
-    classes = measures.recurrent_classes(
-        np.array(sys.transition, dtype=float)
-        / np.maximum(np.array(sys.transition, dtype=float).sum(axis=1, keepdims=True), 1)
-    )
+    classes = measures.recurrent_classes(sys.transition_array())
     if len(classes) != 1:
         raise measures.MeasureError(
             "variational search needs an irreducible transition graph"

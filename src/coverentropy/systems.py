@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csgraph
 
 FULL_SHIFT = "full_shift"
 SFT = "sft"
@@ -94,20 +95,12 @@ def golden_mean() -> SymbolicSystem:
 
 
 def _has_essential_part(transition) -> bool:
-    # Trim states without outgoing or incoming edges until stable; a
-    # bi-infinite path exists iff something survives.
-    k = len(transition)
-    alive = set(range(k))
-    changed = True
-    while changed and alive:
-        changed = False
-        for s in list(alive):
-            if not any(transition[s][t] for t in alive) or not any(
-                transition[t][s] for t in alive
-            ):
-                alive.discard(s)
-                changed = True
-    return bool(alive)
+    # A bi-infinite path exists iff the graph has a cycle, that is iff some
+    # edge (a loop counts) has both ends in one strong component.
+    t = np.array(transition, dtype=bool)
+    _, comp = csgraph.connected_components(t, connection="strong")
+    src, dst = comp[np.argwhere(t).T]
+    return bool(np.any(src == dst))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,21 +200,9 @@ def power_system(sys: SymbolicSystem, M: int) -> SymbolicSystem:
     if M == 1:
         return sys
     if sys.kind == PERMUTATION:
-        m = sys.mapping
-        out = []
-        for x in range(len(m)):
-            y = x
-            for _ in range(M):
-                y = m[y]
-            out.append(y)
-        return permutation(out)
-    blocks = word_universe(sys, M)
-    t = sys.transition
-    rows = []
-    for u in blocks.array:
-        last = int(u[-1])
-        rows.append(tuple(int(t[last][int(v[0])]) for v in blocks.array))
-    return sft(rows)
+        return permutation(permutation_power_table(sys, M).tolist())
+    blocks = word_universe(sys, M).array
+    return sft(sys.transition_array()[blocks[:, -1:], blocks[:, 0]])
 
 
 def permutation_power_table(sys: SymbolicSystem, n: int) -> np.ndarray:

@@ -466,8 +466,7 @@ def _rand_word_system(rng):
             sys = systems.sft(t.tolist())
         except systems.SystemError:
             continue
-        P = t / np.maximum(t.sum(axis=1, keepdims=True), 1)
-        if len(measures.recurrent_classes(P)) == 1:
+        if len(measures.recurrent_classes(t)) == 1:
             return sys
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import coverentropy as ce
 from coverentropy import measures, static_entropy, systems
@@ -18,6 +20,30 @@ def test_stationary_refuses_reducible():
     with pytest.raises(ce.ReducibleChainError) as exc:
         ce.stationary_of([[1, 0], [0, 1]])
     assert len(exc.value.classes) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_recurrent_classes_match_reachability(data):
+    # brute force: i is recurrent iff it returns to itself and every state it
+    # reaches leads back to it; its class is then the set of states it reaches
+    k = data.draw(st.integers(1, 7))
+    raw = data.draw(
+        hnp.arrays(float, (k, k), elements=st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]))
+    )
+    P = raw / np.maximum(raw.sum(axis=1, keepdims=True), 1.0)  # rows sum to <= 1
+    A = (P > 0).astype(int)
+    reach = A > 0  # paths of one or more edges
+    for _ in range(k):
+        reach |= (reach @ A) > 0
+    expected = sorted(
+        {
+            tuple(np.flatnonzero(reach[i]).tolist())
+            for i in range(k)
+            if reach[i, i] and reach[reach[i], i].all()
+        }
+    )
+    assert measures.recurrent_classes(P) == [list(c) for c in expected]
 
 
 def test_stationary_rejects_bad_rows():

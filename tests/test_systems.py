@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import coverentropy as ce
 from coverentropy import systems
@@ -144,6 +146,21 @@ def test_power_system_rejects_zero(gm):
 def test_sft_requires_essential_part():
     with pytest.raises(ce.systems.SystemError):
         ce.sft([[0, 1], [0, 0]])  # no bi-infinite path
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sft_accepts_exactly_the_graphs_with_a_cycle(data):
+    # brute force: a graph on k states has a path of k edges iff it has a cycle
+    k = data.draw(st.integers(1, 7))
+    A = data.draw(hnp.arrays(np.int64, (k, k), elements=st.sampled_from([0, 0, 1])))
+    has_cycle = bool(np.linalg.matrix_power(A, k).any())
+    try:
+        ce.sft(A.tolist())
+        accepted = True
+    except systems.SystemError:
+        accepted = False
+    assert accepted == has_cycle
 
 
 def test_permutation_requires_bijection():
