@@ -60,7 +60,12 @@ def stationary_of(P) -> np.ndarray:
     classes = recurrent_classes(P)
     if len(classes) != 1:
         raise ReducibleChainError(classes)
-    cls = classes[0]
+    return _stationary_on_class(P, classes[0])
+
+
+def _stationary_on_class(P: np.ndarray, cls: list[int]) -> np.ndarray:
+    """The stationary vector of P, given that `cls` is its only recurrent
+    class."""
     sub = P[np.ix_(cls, cls)]
     n = len(cls)
     A = sub.T - np.eye(n)
@@ -389,16 +394,11 @@ def power_measure(mu: InvariantMeasure, M: int) -> InvariantMeasure:
     pow_sys = systems.power_system(mu.system, M)
     blocks = systems.word_universe(mu.system, M)
     pi = weights_for(mu, mu.system, M).copy()
-    n = blocks.count
-    P = np.zeros((n, n))
     arr = blocks.array.astype(np.int64)
-    for i in range(n):
-        last = arr[i, -1]
-        for j in range(n):
-            if not pow_sys.transition[i][j]:
-                continue
-            p = float(mu.P[last, arr[j, 0]])
-            for a, b in zip(arr[j, :-1], arr[j, 1:]):
-                p *= float(mu.P[a, b])
-            P[i, j] = p
+    # P[i, j] = P(last of i, first of j) times the steps inside j, multiplied
+    # left to right as `cylinder_mass` does
+    P = mu.P[arr[:, -1, None], arr[None, :, 0]]
+    for t in range(M - 1):
+        P *= mu.P[arr[:, t], arr[:, t + 1]]
+    P[~pow_sys.transition_array().astype(bool)] = 0.0
     return InvariantMeasure(MARKOV, pow_sys, pi=pi, P=P)

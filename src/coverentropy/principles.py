@@ -198,6 +198,9 @@ def _measure_parameterization(sys: systems.SymbolicSystem):
     allowed = np.array(sys.transition, dtype=bool)
     free = [(s, np.flatnonzero(row)) for s, row in enumerate(allowed) if row.sum() > 1]
     dim = sum(len(cols) for _, cols in free)
+    # P is positive on exactly the allowed edges (unless a softmax entry
+    # underflows), so its recurrent classes are those of the system
+    classes = measures.recurrent_classes(allowed)
 
     def build(theta: np.ndarray) -> measures.InvariantMeasure:
         P = allowed.astype(float)
@@ -208,7 +211,11 @@ def _measure_parameterization(sys: systems.SymbolicSystem):
             z = z - z.max()
             ez = np.exp(z)
             P[s, cols] = ez / ez.sum()
-        pi = measures.stationary_of(P)
+        if len(classes) == 1 and np.all(P[allowed] > 0.0):
+            measures._check_rows_stochastic(P)
+            pi = measures._stationary_on_class(P, classes[0])
+        else:
+            pi = measures.stationary_of(P)
         return measures.InvariantMeasure(measures.MARKOV, sys, pi=pi, P=P)
 
     return dim, build

@@ -29,6 +29,14 @@ a mass-greedy incumbent, then a best-first search that returns the greedy
 value as a flagged upper bound when the budget runs out.  In the acceptance
 scenarios that happens only in criterion 7's windows 5 and 6 (32 and 64
 elements).
+
+All of that up to the masses depends only on the family pair and on which
+words have positive weight: `_solve_plan` builds it once, and U keeps one
+plan, keyed by the conditioner (by identity), the support w > 0 and the
+constants DP_MAX and _DP_CHUNK.  A rate loop over measures of one support,
+such as `principles.variational_search` over Markov measures with every
+allowed transition positive, then only bins the masses into regions, runs
+the DPs, glues and checks the routes for each new measure.
 """
 
 from __future__ import annotations
@@ -404,7 +412,8 @@ def _component_labels(rows: np.ndarray, words: np.ndarray, n_rows: int) -> np.nd
     they hold a common word.  Returns each row's component, numbered in order
     of the components' smallest rows."""
     # a union-find, not scipy.sparse.csgraph: on 60 rows scipy's per-call
-    # overhead makes it ~3x slower, and the rate loops make hundreds of calls
+    # overhead makes it ~3x slower, and one-shot solves on fresh families
+    # (thousands in a batch of small instances) build a plan on every call
     parent = list(range(n_rows))
 
     def find(x):
@@ -519,31 +528,28 @@ def cover_entropy(
     return conditional_cover_entropy(mu_or_cond, U, X, node_budget, ustar_budget=0)
 
 
-def conditional_cover_entropy(
-    mu,
-    U: SetFamily,
-    beta: SetFamily,
-    node_budget: int = NODE_BUDGET_DEFAULT,
-    ustar_budget: int = ROUTE_C_AUTO_BUDGET,
-) -> EntropyValue:
-    """H(U|beta) = sum over atoms B of mu(B) H_{mu_B}(U).
+@dataclass(frozen=True, eq=False)
+class _SolvePlan:
+    """What H(U|beta) needs of a family pair and a weight support, before any
+    mass is read: the overlap components and their atoms, the words the DPs
+    read, each DP group's region keys, the gather that gives each word its
+    holder of least rank, and the memberships of the larger components."""
 
-    Route A computes the per-atom minimizations directly; route B glues the
-    per-atom minimizers into one finer partition of X and runs the partition
-    formula on it; route C (when the finer-partition enumeration fits
-    `ustar_budget`) takes the exhaustive minimum.  All routes must agree to
-    1e-9 whenever the searches are exact."""
-    if beta.kind != PARTITION:
-        raise EntropyError("conditioner must be a partition")
-    families._require_same_carrier(U, beta)
-    if U.kind == PARTITION:
-        # a partition is its own only ordered-difference partition, so the
-        # glued partition of route B is U and the partition formula is exact
-        return conditional_entropy(mu, U, beta)
-    w = measures.family_weights(mu, U)
+    comp_atom: np.ndarray  # each component's atom
+    word_ids: np.ndarray  # the DP components' words, ascending
+    word_comp: np.ndarray  # the component of each of them
+    first: np.ndarray  # where each word's (holder) run starts in the gather
+    groups: list  # (D, components, words, region keys, regions) per DP
+    holder_comp: np.ndarray  # the gather: component, slot and element
+    holder_slot: np.ndarray  # of every DP holder, by word
+    holder_elem: np.ndarray
+    big: list  # (component, words, memberships, elements) past DP_MAX
+
+
+def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
+    """The plan of H(U|beta) under any weights w with the same support w > 0;
+    only the support is read."""
     lab_b = families.partition_labels(beta)
-    base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
-
     # the memberships on positive-weight words, sorted by word, and one row
     # per (atom, element) pair that holds one, ordered by atom and element
     elems, words = U.incidence()
@@ -554,8 +560,8 @@ def conditional_cover_entropy(
     row_atoms, row_elems = np.divmod(row_keys, len(U))
     comp_of_row = _component_labels(row_of, words, len(row_keys))
     sizes = np.bincount(comp_of_row)
-    comp_base = np.zeros(len(sizes))
-    comp_base[comp_of_row] = base_masses[row_atoms]
+    comp_atom = np.zeros(len(sizes), dtype=np.int64)
+    comp_atom[comp_of_row] = row_atoms
     # the rows grouped by component, ascending inside each; a row's slot is
     # its rank in its component
     comp_rows = np.argsort(comp_of_row, kind="stable")
@@ -563,12 +569,7 @@ def conditional_cover_entropy(
     slot = np.empty(len(row_keys), dtype=np.int64)
     slot[comp_rows] = np.arange(len(row_keys)) - comp_start[comp_of_row[comp_rows]]
 
-    # route B's glued partition as one U-index per word; words of null atoms
-    # and zero-weight words keep -1, as they change neither formula
-    glue = np.full(U.universe_size, -1, dtype=np.int64)
-
-    # components of at most DP_MAX elements: each word's holder pattern and
-    # mass, relative to its atom
+    # components of at most DP_MAX elements: each word's holder pattern
     dp = sizes <= DP_MAX
     in_dp = dp[comp_of_row[row_of]]
     d_rows, d_words = row_of[in_dp], words[in_dp]
@@ -594,7 +595,6 @@ def conditional_cover_entropy(
         d_sizes = kept.sum(axis=1)
         first = np.flatnonzero(np.diff(d_words, prepend=-1))
         pattern = np.add.reduceat(1 << d_slot, first)
-    word_mass = w[word_ids] / comp_base[word_comp]
     # the components by padded size, cut into groups of one size D and at
     # most max(1, _DP_CHUNK >> D) components, so that one DP holds a bounded
     # number of regions; each group's words are one run of `word_order`
@@ -609,42 +609,101 @@ def conditional_cover_entropy(
     word_pos = position[word_comp]
     word_order = np.argsort(word_pos, kind="stable")
     word_cuts = np.searchsorted(word_pos[word_order], cuts).tolist()
-    values = np.zeros(len(sizes))
-    rank = np.zeros((len(sizes), max(DP_MAX, _DP_MIN)), dtype=np.int64)
+    groups = []
     for g, (lo, hi) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
         D = int(dim[lo])
         ws = word_order[word_cuts[g] : word_cuts[g + 1]]
-        regions = np.bincount(
-            (local[word_pos[ws]] << D) + pattern[ws],
-            weights=word_mass[ws],
-            minlength=(hi - lo) << D,
-        )
-        comps = by_dim[lo:hi]
-        values[comps], rank[comps, :D] = _solve_dp(regions.reshape(-1, 1 << D), D)
-    route_a = float(comp_base @ values)
-    # each word goes to its holder of least rank
-    first_holder = rank[comp_of_row[d_rows], d_slot] * len(U) + row_elems[d_rows]
-    glue[word_ids] = np.minimum.reduceat(first_holder, first) % len(U)
+        keys = (local[word_pos[ws]] << D) + pattern[ws]
+        groups.append((D, by_dim[lo:hi], ws, keys, (hi - lo) << D))
 
-    # larger components: the best-first search, within the node budget
-    method = BRANCH_AND_BOUND
+    # larger components: their memberships, for the best-first search
     b_pairs = np.flatnonzero(~in_dp)
     b_pairs = b_pairs[np.argsort(comp_of_row[row_of[b_pairs]], kind="stable")]
     b_comp = comp_of_row[row_of[b_pairs]]
-    big = np.flatnonzero(~dp)
-    lows = np.searchsorted(b_comp, big).tolist()
-    highs = np.searchsorted(b_comp, big, side="right").tolist()
-    for c, lo, hi in zip(big.tolist(), lows, highs):
+    big_comps = np.flatnonzero(~dp)
+    lows = np.searchsorted(b_comp, big_comps).tolist()
+    highs = np.searchsorted(b_comp, big_comps, side="right").tolist()
+    big = []
+    for c, lo, hi in zip(big_comps.tolist(), lows, highs):
         pairs = b_pairs[lo:hi]
         cols, col_of = np.unique(words[pairs], return_inverse=True)
         memb = np.zeros((sizes[c], len(cols)), dtype=bool)
         memb[slot[row_of[pairs]], col_of] = True
+        members = row_elems[comp_rows[comp_start[c] : comp_start[c] + sizes[c]]]
+        big.append((c, cols, memb, members))
+    return _SolvePlan(
+        comp_atom, word_ids, word_comp, first, groups,
+        comp_of_row[d_rows], d_slot, row_elems[d_rows], big,
+    )
+
+
+def conditional_cover_entropy(
+    mu,
+    U: SetFamily,
+    beta: SetFamily,
+    node_budget: int = NODE_BUDGET_DEFAULT,
+    ustar_budget: int = ROUTE_C_AUTO_BUDGET,
+) -> EntropyValue:
+    """H(U|beta) = sum over atoms B of mu(B) H_{mu_B}(U).
+
+    Route A computes the per-atom minimizations directly; route B glues the
+    per-atom minimizers into one finer partition of X and runs the partition
+    formula on it; route C (when the finer-partition enumeration fits
+    `ustar_budget`) takes the exhaustive minimum.  All routes must agree to
+    1e-9 whenever the searches are exact.
+
+    The first call on (U, beta) builds a `_SolvePlan` and keeps it on U, so
+    that a later call with weights of the same support only reads masses;
+    another conditioner, support, DP_MAX or _DP_CHUNK builds a new one."""
+    if beta.kind != PARTITION:
+        raise EntropyError("conditioner must be a partition")
+    families._require_same_carrier(U, beta)
+    if U.kind == PARTITION:
+        # a partition is its own only ordered-difference partition, so the
+        # glued partition of route B is U and the partition formula is exact
+        return conditional_entropy(mu, U, beta)
+    w = measures.family_weights(mu, U)
+    lab_b = families.partition_labels(beta)
+    base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
+
+    # one plan per family U, for its last conditioner and support, so that a
+    # stream of fresh conditioners (as `cover_entropy` makes) holds one plan
+    support, limits = w > 0.0, (DP_MAX, _DP_CHUNK)
+    got = U._cache.get("solve_plan")
+    if (
+        got is None
+        or got[0] is not beta
+        or got[1] != limits
+        or not np.array_equal(got[2], support)
+    ):
+        got = (beta, limits, support, _solve_plan(U, beta, w))
+        U._cache["solve_plan"] = got
+    plan = got[3]
+
+    # route A: each component's minimum relative to its atom, weighted by it
+    comp_base = base_masses[plan.comp_atom]
+    word_mass = w[plan.word_ids] / comp_base[plan.word_comp]
+    values = np.zeros(len(comp_base))
+    rank = np.zeros((len(comp_base), max(DP_MAX, _DP_MIN)), dtype=np.int64)
+    for D, comps, ws, keys, length in plan.groups:
+        regions = np.bincount(keys, weights=word_mass[ws], minlength=length)
+        values[comps], rank[comps, :D] = _solve_dp(regions.reshape(-1, 1 << D), D)
+    route_a = float(comp_base @ values)
+    # route B's glued partition as one U-index per word, each word going to
+    # its holder of least rank; words of null atoms and zero-weight words
+    # keep -1, as they change neither formula
+    glue = np.full(U.universe_size, -1, dtype=np.int64)
+    first_holder = rank[plan.holder_comp, plan.holder_slot] * len(U) + plan.holder_elem
+    glue[plan.word_ids] = np.minimum.reduceat(first_holder, plan.first) % len(U)
+
+    # larger components: the best-first search, within the node budget
+    method = BRANCH_AND_BOUND
+    for c, cols, memb, members in plan.big:
         base = float(comp_base[c])
         val, cells, closed, _ = _minimize_component(memb, w[cols] / base, node_budget)
         route_a += base * val
         if not closed:
             method = HEURISTIC
-        members = row_elems[comp_rows[comp_start[c] : comp_start[c] + sizes[c]]]
         for e, cell in zip(members, cells):
             glue[cols[cell]] = e
     route_b = _partition_entropy(w, glue, len(U), lab_b)

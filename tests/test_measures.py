@@ -185,6 +185,36 @@ def test_power_measure_transfers_weights(gm, parry):
             assert np.allclose(a, b, atol=1e-14)
 
 
+def _power_transition_by_loops(mu, M):
+    """Reference: each allowed block pair's probability, multiplied letter
+    by letter in a Python loop."""
+    pow_sys = systems.power_system(mu.system, M)
+    arr = systems.word_universe(mu.system, M).array.astype(np.int64)
+    n = len(arr)
+    P = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if not pow_sys.transition[i][j]:
+                continue
+            p = float(mu.P[arr[i, -1], arr[j, 0]])
+            for a, b in zip(arr[j, :-1], arr[j, 1:]):
+                p *= float(mu.P[a, b])
+            P[i, j] = p
+    return P
+
+
+def test_power_measure_matches_loop_reference(gm):
+    cases = [
+        (ce.markov(gm, [[0.3, 0.7], [1.0, 0.0]]), range(1, 6)),
+        (ce.bernoulli(ce.full_shift(2), [0.3, 0.7]), [1, 2, 3, 4, 5, 8]),
+        (ce.bernoulli(ce.full_shift(3), [0.2, 0.5, 0.3]), range(1, 6)),
+    ]
+    for mu, Ms in cases:
+        for M in Ms:
+            got = ce.power_measure(mu, M).P
+            assert got.tobytes() == _power_transition_by_loops(mu, M).tobytes()
+
+
 def test_cycle_measure_validates_constancy():
     sys = ce.permutation([1, 0, 2])
     with pytest.raises(measures.MeasureError):

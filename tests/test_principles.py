@@ -68,6 +68,31 @@ def test_factor_invariance_constant_code(gm, parry):
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
 
+def test_measure_builder_matches_stationary_of():
+    # the builder finds the recurrent class once; its pi must be the bytes
+    # stationary_of gives, also when a softmax entry underflows to 0
+    rng = np.random.default_rng(3)
+    for sys in (ce.full_shift(2), ce.golden_mean(),
+                ce.sft([[1, 1, 0], [0, 0, 1], [1, 1, 0]])):
+        dim, build = principles._measure_parameterization(sys)
+        for scale in (1.0, 1000.0):
+            for _ in range(20):
+                theta = rng.normal(size=dim) * scale
+                try:
+                    mu = build(theta)
+                except measures.MeasureError:
+                    continue
+                assert mu.pi.tobytes() == measures.stationary_of(mu.P).tobytes()
+
+
+def test_measure_builder_refuses_reducible_systems():
+    # two disjoint loops: every build is refused, as stationary_of refuses
+    sys = ce.sft([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+    dim, build = principles._measure_parameterization(sys)
+    with pytest.raises(ce.ReducibleChainError):
+        build(np.zeros(dim))
+
+
 def test_variational_search_trivial_when_conditioner_refines(full2):
     U = ce.family_of_words(full2, 1, [["0"], ["1"]], "cover")
     beta = ce.cylinder_partition(full2, 1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import coverentropy as ce
-from coverentropy import bitsets, families, measures, static_entropy, verify
+from coverentropy import bitsets, dynamic_entropy, families, measures, static_entropy, verify
 
 from conftest import H_THIRD, LOG2
 
@@ -510,3 +510,70 @@ def test_heuristic_flag_on_tiny_budget(full3, monkeypatch):
     v = ce.conditional_cover_entropy(mu, joined, X, node_budget=5, ustar_budget=0)
     assert v.method == "heuristic_upper_bound" and v.certificate is None
     assert v.nats >= exact.nats - 1e-12  # heuristic stays an upper bound
+
+
+def _fresh(fam):
+    """The same family as a new instance, with nothing cached."""
+    return ce.SetFamily(fam.system, fam.window, fam.kind, fam.elements)
+
+
+def test_solve_plan_is_built_once_per_support(full2):
+    # one joined pair on the full 2-shift: measures of full support share
+    # one plan; a chain with P[1, 1] = 0 gives the words holding 11 zero
+    # weight and a new plan, and so do full support again and a new
+    # conditioner
+    U = ce.family_of_words(full2, 2, [["00", "01", "10"], ["01", "10", "11"]], "cover")
+    beta = ce.cylinder_partition(full2, 1)
+    uj, bj = dynamic_entropy._joined_pair(U, beta, 3)
+    steps = [
+        (ce.markov(full2, [[0.6, 0.4], [0.3, 0.7]]), 1),
+        (ce.markov(full2, [[0.2, 0.8], [0.5, 0.5]]), 1),
+        (ce.markov(full2, [[0.6, 0.4], [1.0, 0.0]]), 2),
+        (ce.markov(full2, [[0.7, 0.3], [0.4, 0.6]]), 3),
+        (ce.markov(full2, [[0.5, 0.5], [0.5, 0.5]]), 3),
+    ]
+    with mock.patch.object(static_entropy, "_solve_plan",
+                           wraps=static_entropy._solve_plan) as build:
+        def builds_on_uj():
+            return sum(c.args[0] is uj for c in build.call_args_list)
+
+        for mu, builds in steps:
+            v = ce.conditional_cover_entropy(mu, uj, bj)
+            assert builds_on_uj() == builds
+            fresh = ce.conditional_cover_entropy(mu, _fresh(uj), _fresh(bj))
+            assert v.nats == pytest.approx(fresh.nats, abs=1e-12)
+            assert v.method == fresh.method == "branch_and_bound"
+        other = _fresh(bj)
+        for _ in range(2):
+            ce.conditional_cover_entropy(mu, uj, other)
+            assert builds_on_uj() == 4
+    weights = measures.family_weights(steps[2][0], uj)
+    assert np.any(weights == 0.0) and np.any(weights > 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cached_plans_equal_fresh_family_solves(data):
+    # a sequence of point measures on one family pair, some with zero
+    # weights; each value must be that of freshly built families
+    m = data.draw(st.integers(2, 10))
+    elements = data.draw(st.lists(
+        st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=6
+    ))
+    missing = frozenset(range(m)).difference(*elements)
+    if missing:
+        elements[-1] = elements[-1] | missing
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    atoms = [sorted(x for x in range(m) if labels[x] == a) for a in set(labels)]
+    sys = ce.permutation(list(range(m)))
+    U = ce.family_of_points(sys, [sorted(e) for e in elements], "cover")
+    beta = ce.family_of_points(sys, atoms, "partition")
+    weight_lists = data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=m, max_size=m)
+        .filter(any), min_size=2, max_size=5,
+    ))
+    for weights in weight_lists:
+        mu = ce.cycle_measure(sys, [x / sum(weights) for x in weights])
+        v = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=0)
+        fresh = ce.conditional_cover_entropy(mu, _fresh(U), _fresh(beta), ustar_budget=0)
+        assert v == fresh
