@@ -395,10 +395,10 @@ def power_measure(mu: InvariantMeasure, M: int) -> InvariantMeasure:
     blocks = systems.word_universe(mu.system, M)
     pi = weights_for(mu, mu.system, M).copy()
     arr = blocks.array.astype(np.int64)
-    # P[i, j] = P(last of i, first of j) times the steps inside j, multiplied
-    # left to right as `cylinder_mass` does
+    # P[i, j] = P(last letter of i, first of j) times the steps inside j,
+    # multiplied left to right, as a loop over the letters of j would
     P = mu.P[arr[:, -1, None], arr[None, :, 0]]
     for t in range(M - 1):
         P *= mu.P[arr[:, t], arr[:, t + 1]]
-    P[~pow_sys.transition_array().astype(bool)] = 0.0
+    P[pow_sys.transition_array() == 0] = 0.0
     return InvariantMeasure(MARKOV, pow_sys, pi=pi, P=P)

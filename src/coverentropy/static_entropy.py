@@ -528,7 +528,7 @@ def cover_entropy(
     return conditional_cover_entropy(mu_or_cond, U, X, node_budget, ustar_budget=0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class _SolvePlan:
     """What H(U|beta) needs of a family pair and a weight support, before any
     mass is read: the overlap components and their atoms, the words the DPs
@@ -539,7 +539,7 @@ class _SolvePlan:
     word_ids: np.ndarray  # the DP components' words, ascending
     word_comp: np.ndarray  # the component of each of them
     first: np.ndarray  # where each word's (holder) run starts in the gather
-    groups: list  # (D, components, words, region keys, regions) per DP
+    groups: list  # per DP: (D, components, words, region keys, region count)
     holder_comp: np.ndarray  # the gather: component, slot and element
     holder_slot: np.ndarray  # of every DP holder, by word
     holder_elem: np.ndarray
