@@ -41,29 +41,33 @@ def _fmt(x: float, scale: float) -> str:
     return NINE.format(x * scale)
 
 
-def _estimate_files(est, outdir, stem, scale, extra=None):
-    payload = est.to_json_dict()
-    if extra:
-        payload.update(extra)
-    (outdir / f"{stem}.json").write_text(json.dumps(payload, indent=2))
+def _task_files(outdir, stem, document, header, rows):
+    """A task's JSON document and its CSV table."""
+    (outdir / f"{stem}.json").write_text(document)
     with open(outdir / f"{stem}.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["N", "a_N", "a_N_over_N"])
-        for N, a, per in est.csv_rows(scale):
-            w.writerow([N, NINE.format(a), NINE.format(per)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _estimate_files(est, outdir, stem, scale):
+    rows = [[N, NINE.format(a), NINE.format(per)] for N, a, per in est.csv_rows(scale)]
+    _task_files(outdir, stem, json.dumps(est.to_json_dict(), indent=2),
+                ["N", "a_N", "a_N_over_N"], rows)
 
 
 def _report_files(report, outdir, stem, scale):
-    (outdir / f"{stem}.json").write_text(json.dumps(report.to_json_dict(), indent=2))
-    with open(outdir / f"{stem}.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["check_name", "lhs", "rhs", "gap", "verdict", "n_max", "tolerance"]
-        )
-        name, lhs, rhs, gap, verdict, n_max, tol = report.summary_row(scale)
-        w.writerow(
-            [name, NINE.format(lhs), NINE.format(rhs), NINE.format(gap), verdict, n_max, tol]
-        )
+    name, lhs, rhs, gap, verdict, n_max, tol = report.summary_row(scale)
+    _task_files(outdir, stem, json.dumps(report.to_json_dict(), indent=2),
+                ["check_name", "lhs", "rhs", "gap", "verdict", "n_max", "tolerance"],
+                [[name, NINE.format(lhs), NINE.format(rhs), NINE.format(gap), verdict,
+                  n_max, tol]])
+
+
+def _given(**options) -> dict:
+    """The options that a task or a flag sets; the library's own defaults
+    stand for the rest."""
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _run_task(cfg, i, task, outdir, scale, seed, n_max_override, tol_override):
@@ -83,103 +87,84 @@ def _run_task(cfg, i, task, outdir, scale, seed, n_max_override, tol_override):
         U, beta = families.align_windows(U, beta)
         v = static_entropy.conditional_cover_entropy(meas(), U, beta)
         row = ("conditional_cover_entropy", _fmt(v.nats, scale), v.method)
-        (outdir / f"{stem}.json").write_text(
-            json.dumps({"quantity": row[0], "value": v.nats, "method": v.method})
-        )
-        with open(outdir / f"{stem}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["quantity", "value", "method"])
-            w.writerow(row)
+        doc = {"quantity": row[0], "value": v.nats, "method": v.method}
+        _task_files(outdir, stem, json.dumps(doc), ["quantity", "value", "method"],
+                    [row])
         return ("static", row[0], v.nats * scale, None, "ok", n_max or 1, None)
 
     if kind == "count":
         U, beta = families.align_windows(fam("cover"), fam("conditioner"))
         n = static_entropy.covering_number(U, beta)
-        (outdir / f"{stem}.json").write_text(
-            json.dumps({"quantity": "covering_number", "value": n})
-        )
-        with open(outdir / f"{stem}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["quantity", "value"])
-            w.writerow(["covering_number", n])
+        doc = {"quantity": "covering_number", "value": n}
+        _task_files(outdir, stem, json.dumps(doc), ["quantity", "value"],
+                    [["covering_number", n]])
         return ("count", "covering_number", float(n), None, "ok", 1, None)
 
     if kind in ("h_minus", "h_top", "h_plus"):
         U, beta = fam("cover"), fam("conditioner")
         if kind == "h_minus":
             est = dynamic_entropy.joined_cover_rate(
-                meas(), U, beta, n_max or dynamic_entropy.N_MAX_COVER_DEFAULT
+                meas(), U, beta, **_given(n_max=n_max)
             )
         elif kind == "h_top":
-            est = dynamic_entropy.covering_rate(
-                U, beta, n_max or dynamic_entropy.N_MAX_COUNTING_DEFAULT
-            )
+            est = dynamic_entropy.covering_rate(U, beta, **_given(n_max=n_max))
         else:
-            result = dynamic_entropy.refining_partition_rate(
-                meas(),
-                U,
-                beta,
-                n_max or dynamic_entropy.N_MAX_COVER_DEFAULT,
-                task.get("window"),
-                task.get("budget", families.USTAR_BUDGET_DEFAULT),
-            )
-            est = result.estimate
+            est = dynamic_entropy.refining_partition_rate(
+                meas(), U, beta, **_given(
+                    n_max=n_max, window=task.get("window"), budget=task.get("budget")
+                ),
+            ).estimate
         _estimate_files(est, outdir, stem, scale)
         return (kind, est.quantity, est.running_inf * scale,
                 est.stabilization_gap * scale, est.exactness, est.n_max, None)
 
     if kind == "power_check":
         rep = dynamic_entropy.power_identity_check(
-            meas(), fam("cover"), fam("conditioner"), int(task["M"]), n_max or 3,
-            tolerance=tol if tol is not None else 1e-9,
+            meas(), fam("cover"), fam("conditioner"), int(task["M"]),
+            **_given(n_max=n_max, tolerance=tol),
         )
-        (outdir / f"{stem}.json").write_text(json.dumps(rep.to_json_dict(), indent=2))
-        with open(outdir / f"{stem}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "base_side", "power_side", "gap"])
-            for N, lhs, rhs in rep.pairs:
-                w.writerow([N, NINE.format(lhs * scale), NINE.format(rhs * scale),
-                            NINE.format(abs(lhs - rhs) * scale)])
+        _task_files(outdir, stem, json.dumps(rep.to_json_dict(), indent=2),
+                    ["N", "base_side", "power_side", "gap"],
+                    [[N, _fmt(a, scale), _fmt(b, scale), _fmt(abs(a - b), scale)]
+                     for N, a, b in rep.pairs])
         if rep.verdict == "violated":
             raise TaskFailure(EXIT_VIOLATION, f"power identity violated (task {i})")
         return ("power_check", "power_identity", rep.max_gap, None, rep.verdict,
-                n_max or 3, rep.tolerance)
+                len(rep.pairs), rep.tolerance)
 
     if kind == "factor_check":
         rep = principles.factor_invariance_check(
             cfg.factor_map(task["factor"], i), meas(), fam("cover"),
-            fam("conditioner"), n_max or 6,
-            tolerance=tol if tol is not None else principles.IDENTITY_TOL,
+            fam("conditioner"), **_given(n_max=n_max, tolerance=tol),
         )
     elif kind == "variational":
         rep = principles.variational_search(
-            cfg.system, fam("cover"), fam("conditioner"), n_max or 6,
-            starts=task.get("starts", 8), max_iter=task.get("max_iter", 120),
-            seed=seed,
-            tolerance=tol if tol is not None else principles.BRACKET_TOL,
+            cfg.system, fam("cover"), fam("conditioner"), seed=seed, **_given(
+                n_max=n_max, starts=task.get("starts"),
+                max_iter=task.get("max_iter"), tolerance=tol,
+            ),
         )
     elif kind == "minmax":
         grid = [cfg.measure(name, i) for name in task.get("measures", [])]
         rep = principles.minmax_check(
-            cfg.system, fam("cover"), fam("conditioner"), grid, n_max or 6,
-            task.get("window"), seed=seed,
-            tolerance=tol if tol is not None else principles.IDENTITY_TOL,
+            cfg.system, fam("cover"), fam("conditioner"), grid, seed=seed,
+            **_given(n_max=n_max, window=task.get("window"), tolerance=tol),
         )
     elif kind == "bracket":
         rep = principles.cover_rate_bracket(
-            meas(), fam("cover"), fam("conditioner"), n_max or 6,
-            tuple(task.get("windows", (1, 2))),
-            tolerance=tol if tol is not None else principles.BRACKET_TOL,
+            meas(), fam("cover"), fam("conditioner"),
+            **_given(n_max=n_max, windows=task.get("windows"), tolerance=tol),
         )
     elif kind == "ergodic_check":
         comps = measures.ergodic_decompose(meas())
         rep = principles.ergodic_additivity_check(
-            comps, fam("family"), fam("conditioner"), n_max or 8
+            comps, fam("family"), fam("conditioner"),
+            **_given(n_max=n_max, tolerance=tol),
         )
     elif kind == "factor_cond":
         rep = principles.factor_conditioned_profile(
             meas(), cfg.factor_map(task["factor"], i), fam("cover"),
-            tuple(task.get("windows", (1, 2, 3))), n_max or 6,
+            **_given(windows=task.get("windows"), n_max=n_max),
         )
     else:  # pragma: no cover - kinds validated by the loader
         raise config_mod.ConfigError("BAD_CONFIG", f"unhandled kind {kind}", i)

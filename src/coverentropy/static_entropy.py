@@ -14,21 +14,22 @@ pairs then gives the cells of the join alpha v beta, so neither the join nor
 the glued partition is ever built as a family, and the cost is linear in
 the words whatever the number of atoms.
 
-H(U|beta) is a minimization in each atom, and each atom splits into overlap
-components whose orderings do not interact.  The components of all atoms are
-found in one union-find.  Every component of at most DP_MAX = 16 elements is
-solved exactly by a subset DP (Held-Karp style, with a zeta transform for
-the masses), batched over components of one size, those of fewer than 4
-elements padded to 4, in groups small enough that one DP holds a bounded
-amount of memory.  An element that holds the same words as an earlier one
-of its component gets an empty cell in every ordering, so it leaves the DP.
-The cost is O(d 2^d) per component, d counting only the elements that stay,
-whatever the number of words, and the DP never reads the node budget.
-Only a component of more than DP_MAX elements goes to `_minimize_component`:
-a mass-greedy incumbent, then a best-first search that returns the greedy
-value as a flagged upper bound when the budget runs out.  In the acceptance
-scenarios that happens only in criterion 7's windows 5 and 6 (32 and 64
-elements).
+H(U|beta) is a minimization in each atom.  An element that holds the same
+positive-weight words of an atom as an earlier element gets an empty cell
+there in every ordering, so it leaves the atom before the overlap components
+are found, whatever their size, and d below counts distinct elements.  The
+components of all atoms, whose orderings do not interact, are found in one
+union-find.  Every component of at most DP_MAX = 16 elements is solved
+exactly by a subset DP (Held-Karp style, with a zeta transform for the
+masses), batched over components of one size, those of fewer than 4 elements
+padded to 4, in groups small enough that one DP holds a bounded amount of
+memory.  The cost is O(d 2^d) per component, whatever the number of words,
+and the DP never reads the node budget.  Only a component of more than
+DP_MAX elements goes to `_minimize_component`: a mass-greedy incumbent, then
+a best-first search that returns the greedy value as a flagged upper bound
+when the budget runs out.  In the acceptance scenarios that happens in
+criterion 7's windows 5 and 6 (32 and 64 elements) and in four components
+of 31 to 63 elements in criterion 10, which the search closes at its root.
 
 All of that up to the masses depends only on the family pair and on which
 words have positive weight: `_solve_plan` builds it once, and U keeps one
@@ -523,8 +524,12 @@ def cover_entropy(
 ) -> EntropyValue:
     """H(U) under a (possibly conditional) measure: H(U|{X}), the minimum
     Shannon entropy over ordered-difference partitions of U, solved exactly
-    unless the search budget runs out (then a flagged upper bound)."""
-    X = families.trivial_partition(U.system, U.window)
+    unless the search budget runs out (then a flagged upper bound).  {X} is
+    kept on U, so that calls on U share the solve plan."""
+    X = U._cache.get("trivial_partition")
+    if X is None:
+        X = families.trivial_partition(U.system, U.window)
+        U._cache["trivial_partition"] = X
     return conditional_cover_entropy(mu_or_cond, U, X, node_budget, ustar_budget=0)
 
 
@@ -557,8 +562,19 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
     by_word = np.argsort(words[pos], kind="stable")
     elems, words = elems[pos][by_word], words[pos][by_word]
     row_keys, row_of = np.unique(lab_b[words] * len(U) + elems, return_inverse=True)
-    row_atoms, row_elems = np.divmod(row_keys, len(U))
-    comp_of_row = _component_labels(row_of, words, len(row_keys))
+    # a row that holds the same words as an earlier one gets an empty cell in
+    # every ordering, so only the first row of each word set stays, whatever
+    # the size of its component; a word lies in one atom, so equal word sets
+    # are rows of one atom
+    ends = np.cumsum(np.bincount(row_of)).tolist()
+    held = words[np.argsort(row_of, kind="stable")].tolist()  # by row, then word
+    first_row: dict[tuple, int] = {}
+    kept = np.array([first_row.setdefault(tuple(held[lo:hi]), r) == r
+                     for r, (lo, hi) in enumerate(zip([0] + ends, ends))])
+    keep = kept[row_of]
+    words, row_of = words[keep], (np.cumsum(kept) - 1)[row_of[keep]]
+    row_atoms, row_elems = np.divmod(row_keys[kept], len(U))
+    comp_of_row = _component_labels(row_of, words, len(row_atoms))
     sizes = np.bincount(comp_of_row)
     comp_atom = np.zeros(len(sizes), dtype=np.int64)
     comp_atom[comp_of_row] = row_atoms
@@ -566,8 +582,8 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
     # its rank in its component
     comp_rows = np.argsort(comp_of_row, kind="stable")
     comp_start = np.cumsum(sizes) - sizes
-    slot = np.empty(len(row_keys), dtype=np.int64)
-    slot[comp_rows] = np.arange(len(row_keys)) - comp_start[comp_of_row[comp_rows]]
+    slot = np.empty(len(row_atoms), dtype=np.int64)
+    slot[comp_rows] = np.arange(len(row_atoms)) - comp_start[comp_of_row[comp_rows]]
 
     # components of at most DP_MAX elements: each word's holder pattern
     dp = sizes <= DP_MAX
@@ -577,28 +593,10 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
     word_ids = d_words[first]
     word_comp = comp_of_row[d_rows[first]]
     pattern = np.add.reduceat(1 << slot[d_rows], first)
-    d_slot, d_sizes = slot[d_rows], sizes
-    if np.any(sizes[dp] > _DP_MIN):
-        # an element that holds the same words as an earlier one of its
-        # component gets an empty cell in every ordering, so it leaves the
-        # DP; only a component of more than _DP_MIN elements can shrink.
-        # agree[c, s] holds the elements of c that agree with its element s
-        # on every word's holder pattern, that is, hold the same words
-        holds = (pattern[:, None] >> np.arange(DP_MAX)) & 1
-        agree = np.full((len(sizes), DP_MAX), -1)
-        np.bitwise_and.at(agree, word_comp, pattern[:, None] ^ (holds - 1))
-        kept = (agree & ((1 << np.arange(DP_MAX)) - 1)) == 0
-        kept &= np.arange(DP_MAX) < sizes[:, None]  # slots past the size hold nothing
-        keep = kept[comp_of_row[d_rows], d_slot]
-        d_rows, d_words = d_rows[keep], d_words[keep]
-        d_slot = (np.cumsum(kept, axis=1) - 1)[comp_of_row[d_rows], slot[d_rows]]
-        d_sizes = kept.sum(axis=1)
-        first = np.flatnonzero(np.diff(d_words, prepend=-1))
-        pattern = np.add.reduceat(1 << d_slot, first)
     # the components by padded size, cut into groups of one size D and at
     # most max(1, _DP_CHUNK >> D) components, so that one DP holds a bounded
     # number of regions; each group's words are one run of `word_order`
-    dims = np.maximum(d_sizes, _DP_MIN)
+    dims = np.maximum(sizes, _DP_MIN)
     by_dim = np.flatnonzero(dp)[np.argsort(dims[dp], kind="stable")]
     dim = dims[by_dim]
     place = np.arange(len(by_dim)) - np.searchsorted(dim, dim)  # inside its size
@@ -633,7 +631,7 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
         big.append((c, cols, memb, members))
     return _SolvePlan(
         comp_atom, word_ids, word_comp, first, groups,
-        comp_of_row[d_rows], d_slot, row_elems[d_rows], big,
+        comp_of_row[d_rows], slot[d_rows], row_elems[d_rows], big,
     )
 
 
@@ -667,7 +665,7 @@ def conditional_cover_entropy(
     base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
 
     # one plan per family U, for its last conditioner and support, so that a
-    # stream of fresh conditioners (as `cover_entropy` makes) holds one plan
+    # loop over many conditioners holds one plan at a time
     support, limits = w > 0.0, (DP_MAX, _DP_CHUNK)
     got = U._cache.get("solve_plan")
     if (

@@ -623,7 +623,10 @@ PROPERTIES = [
 def run_property(spec: PropertySpec, seed: int, count: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     for i in range(count):
-        ce = spec.run(rng)
+        try:  # an error escaping the property, not just `_counterexample`, fails it
+            ce = spec.run(rng)
+        except Exception as exc:
+            ce = {"error": f"{type(exc).__name__}: {exc}"}
         if ce is not None:
             return CheckResult(spec.name, False, i + 1, "counterexample", ce)
     return CheckResult(spec.name, True, count)
@@ -922,7 +925,11 @@ def verify_suite(level: str = "fast", seed: int = 42) -> int:
             print("      counterexample:", json.dumps(res.counterexample))
     print("== named scenarios ==")
     for fn in SCENARIOS:
-        res = fn()
+        try:
+            res = fn()
+        except Exception as exc:
+            res = CheckResult(fn.__name__.removeprefix("scenario_"), False, 0,
+                              f"{type(exc).__name__}: {exc}")
         mark = "PASS" if res.passed else "FAIL"
         print(f"{mark}  {res.name}  {res.detail}")
         if not res.passed:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ def test_criterion7_window4_is_exact(full3, p, a4):
     assert all(e.exact for e in est.entries)
     assert est.exactness == "upper_bound_certified"
     assert est.entries[3].value == pytest.approx(a4, abs=1e-9)
+
+
+def test_criterion7_cover_under_the_1_cylinders_needs_no_search(full3):
+    # each atom of the N-fold joined 1-cylinders is one word, so all the
+    # elements that hold it merge into one: every a_N is exactly 0, and no
+    # component reaches the search
+    mu = ce.bernoulli(full3, [1 / 3, 1 / 3, 1 / 3])
+    U = ce.family_of_words(full3, 1, [["0", "1"], ["1", "2"]], "cover")
+    beta = ce.cylinder_partition(full3, 1)
+    with mock.patch.object(static_entropy, "_minimize_component",
+                           wraps=static_entropy._minimize_component) as search:
+        est = ce.joined_cover_rate(mu, U, beta, n_max=7, node_budget=20000)
+    assert search.call_count == 0
+    assert all(e.exact and e.value == 0.0 for e in est.entries)
 
 
 def test_power_identity_m1_is_identity(gm, parry):

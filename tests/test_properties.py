@@ -47,3 +47,25 @@ def test_route_disagreement_is_caught(monkeypatch):
         res = verify.run_property(spec, seed=42, count=20)
         assert not res.passed, name
         assert "RouteDisagreement" in res.counterexample["error"]
+
+
+def test_an_escaping_error_fails_the_property_and_the_suite(monkeypatch, capsys):
+    # dynamic.rate_below_counting calls the library outside `_counterexample`,
+    # and a scenario calls it directly: the error must fail both, and the
+    # suite must return 1, not raise
+    def disagree(*args):
+        raise static_entropy.RouteDisagreement("tampered partition formula")
+
+    monkeypatch.setattr(static_entropy, "_partition_entropy", disagree)
+    spec = next(p for p in verify.PROPERTIES if p.name == "dynamic.rate_below_counting")
+    res = verify.run_property(spec, seed=42, count=5)
+    assert not res.passed
+    assert res.counterexample == {
+        "error": "RouteDisagreement: tampered partition formula"
+    }
+    monkeypatch.setattr(verify, "PROPERTIES", [spec])
+    monkeypatch.setattr(verify, "SCENARIOS", [verify.scenario_full_shift_generator])
+    assert verify.verify_suite("fast", 42) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  dynamic.rate_below_counting" in out
+    assert "FAIL  full_shift_generator  RouteDisagreement" in out

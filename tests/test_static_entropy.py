@@ -335,32 +335,59 @@ def test_many_16_element_components_hold_bounded_memory():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("distinct, D", [
-    ([{0, 1, 2}], 4),
-    ([{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}], 6),
+@pytest.mark.parametrize("distinct, count, D", [
+    pytest.param([{0, 1, 2}], 15, 4, id="distinct0-4"),
+    pytest.param([{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}], 15, 6, id="distinct1-6"),
+    # 40 elements, more than DP_MAX, in each atom: merged before the
+    # components are found, they leave 2 for the DP and none for the search
+    pytest.param([{0, 1}, {1, 2}], 40, 4, id="distinct2-4"),
 ])
-def test_identical_elements_leave_the_subset_dp(distinct, D):
-    # 10 atoms of 3 points; in each, the 15 elements of the cover hold only
-    # the sets in `distinct`, so each component is len(distinct) elements to
-    # the DP (at least 4), and its minimum is that of the distinct sets
+def test_identical_elements_leave_the_subset_dp(distinct, count, D):
+    # 10 atoms of 3 points; in each, the `count` elements of the cover hold
+    # only the sets in `distinct`, so each component is len(distinct)
+    # elements to the DP (at least 4), and its minimum is that of the
+    # distinct sets
     weights = [(1 + x % 3) / 60 for x in range(30)]
     sys = ce.permutation(list(range(30)))
     mu = ce.cycle_measure(sys, weights)
-    sets = [distinct[k % len(distinct)] for k in range(15)]
+    sets = [distinct[k % len(distinct)] for k in range(count)]
     U = ce.family_of_points(
         sys, [[x for x in range(30) if x % 3 in e] for e in sets], "cover"
     )
     atoms = [frozenset(range(a, a + 3)) for a in range(0, 30, 3)]
     beta = ce.family_of_points(sys, [sorted(a) for a in atoms], "partition")
     with mock.patch.object(static_entropy, "_solve_dp",
-                           wraps=static_entropy._solve_dp) as solve:
+                           wraps=static_entropy._solve_dp) as solve, \
+            mock.patch.object(static_entropy, "_minimize_component",
+                              wraps=static_entropy._minimize_component) as search:
         v = ce.conditional_cover_entropy(mu, U, beta, node_budget=1, ustar_budget=0)
     assert [c.args[1] for c in solve.call_args_list] == [D]
+    assert search.call_count == 0
     assert v.method == "branch_and_bound"
     elements = [frozenset(x for x in range(30) if x % 3 in e) for e in distinct]
     assert v.nats == pytest.approx(
         _cover_entropy_by_orderings(weights, elements, atoms), abs=1e-12
     )
+
+
+def test_elements_merge_on_their_positive_weight_words():
+    # one atom of 5 points, point 4 of zero weight: {0, 1, 4} holds the
+    # positive-weight words of {0, 1} and merges into it, while {0, 1, 2}
+    # holds one more and stays, so 5 distinct elements go to one DP of 5
+    weights = [0.1, 0.2, 0.3, 0.4, 0.0]
+    sys = ce.permutation(list(range(5)))
+    mu = ce.cycle_measure(sys, weights)
+    elements = [{0, 1}, {0, 1, 4}, {0, 1, 2}, {1, 2}, {2, 3}, {3, 0}]
+    U = ce.family_of_points(sys, [sorted(e) for e in elements], "cover")
+    X = ce.trivial_partition(sys)
+    with mock.patch.object(static_entropy, "_solve_dp",
+                           wraps=static_entropy._solve_dp) as solve:
+        v = ce.conditional_cover_entropy(mu, U, X)
+    assert [c.args[1] for c in solve.call_args_list] == [5]
+    assert v.method == "branch_and_bound"
+    assert v.nats == pytest.approx(_cover_entropy_by_orderings(
+        weights, [frozenset(e) for e in elements], [frozenset(range(5))]
+    ), abs=1e-12)
 
 
 def _cover_entropy_by_orderings(weights, elements, atoms):
@@ -549,6 +576,21 @@ def test_solve_plan_is_built_once_per_support(full2):
             assert builds_on_uj() == 4
     weights = measures.family_weights(steps[2][0], uj)
     assert np.any(weights == 0.0) and np.any(weights > 0.0)
+
+
+def test_cover_entropy_shares_one_plan_across_measures(full3):
+    # cover_entropy keeps {X} on U, so that measures of one support share
+    # U's plan
+    U = ce.family_of_words(full3, 1, [["0", "1"], ["1", "2"]], "cover")
+    joined = ce.dynamical_join(U, 0, 2)
+    mus = [ce.bernoulli(full3, p) for p in
+           ([1 / 3, 1 / 3, 1 / 3], [0.2, 0.5, 0.3], [0.25, 0.5, 0.25])]
+    with mock.patch.object(static_entropy, "_solve_plan",
+                           wraps=static_entropy._solve_plan) as build:
+        values = [ce.cover_entropy(mu, joined) for mu in mus]
+    assert build.call_count == 1
+    for mu, v in zip(mus, values):
+        assert v == ce.cover_entropy(mu, _fresh(joined))
 
 
 @settings(max_examples=100, deadline=None)
