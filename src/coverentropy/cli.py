@@ -1,7 +1,8 @@
 """Batch front end: run experiment configs and the verification suites.
 
 Exit codes: 0 success, 1 per-window identity violation or property failure,
-2 configuration error, 3 budget refusal without a fallback.
+2 configuration error (a malformed config, or an input a task cannot take,
+such as a cover given as a conditioner), 3 budget refusal without a fallback.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import (
     measures,
     principles,
     static_entropy,
+    systems,
     verify,
 )
 
@@ -217,6 +219,13 @@ def run(config_path, output_dir, seed=None, n_max=None, tolerance=None,
             rows.append((i, task["kind"], "FAILED", math.nan, math.nan,
                          "violated", 0, None))
             status = max(status, EXIT_VIOLATION)
+        except (static_entropy.EntropyError, families.FamilyError,
+                systems.SystemError, measures.MeasureError) as e:
+            # RouteDisagreement, the EntropyError of a violation, is caught
+            # above; what is left is an input the task cannot take, such as
+            # a cover given as a conditioner
+            print(f"task {i} input error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
 
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)

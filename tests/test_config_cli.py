@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coverentropy import cli, config
+from coverentropy import cli, config, static_entropy
 
 
 BASE_CONFIG = {
@@ -230,3 +230,35 @@ def test_n_max_override_below_two_exits_2(tmp_path):
     code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
                      "--n-max", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k, keys in config.TASK_KINDS.items() if "conditioner" in keys]
+)
+def test_cover_as_conditioner_exits_2(tmp_path, capsys, kind):
+    # every kind conditions on a partition; a cover there is an input error,
+    # reported with exit 2, not a traceback
+    task = {"kind": kind, "measure": "parry", "cover": "overlap", "family": "overlap",
+            "conditioner": "overlap", "factor": "identity", "M": 2,
+            "measures": ["parry"], "n_max": 3}
+    path = write_config(tmp_path, [task])
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "task 0 input error" in err and "partition" in err
+
+
+def test_route_disagreement_still_exits_1(tmp_path, capsys, monkeypatch):
+    # a RouteDisagreement is an EntropyError, but it stays an identity
+    # violation: exit 1 and a FAILED row in the summary
+    def disagree(*args, **kwargs):
+        raise static_entropy.RouteDisagreement("tampered route")
+
+    monkeypatch.setattr(static_entropy, "conditional_cover_entropy", disagree)
+    tasks = [{"kind": "static", "measure": "parry", "cover": "overlap",
+              "conditioner": "letters"}]
+    path = write_config(tmp_path, tasks)
+    out = tmp_path / "out"
+    assert cli.run(path, out) == 1
+    assert "identity violation" in capsys.readouterr().err
+    rows = list(csv.reader(open(out / "summary.csv")))
+    assert rows[1][2] == "FAILED"

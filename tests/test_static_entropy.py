@@ -311,6 +311,77 @@ def test_subset_dp_memory_at_16_elements():
     assert peak < 8 * 2**20
 
 
+def _padded_regions(data, D, n):
+    """n components of 1..D elements in a batch of D, with tied weights,
+    zero regions and some components of no mass at all."""
+    regions = np.zeros((n, 2**D))
+    for c in range(n):
+        d = data.draw(st.integers(1, D))
+        holders = data.draw(st.lists(st.integers(1, 2**d - 1), min_size=1, max_size=12))
+        weights = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 0.0625, 0.125, 0.2]), st.floats(0.0, 1.0)),
+            min_size=len(holders), max_size=len(holders),
+        ))
+        np.add.at(regions[c], holders, weights)
+    return regions
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ordering_enumeration_equals_the_layered_dp(data):
+    # up to _ORDER_MAX elements `_solve_dp` enumerates the orderings; it
+    # must return the layered DP's minima bit for bit, and ranks whose first
+    # holders attain them
+    d = data.draw(st.integers(1, static_entropy._ORDER_MAX))
+    D = data.draw(st.sampled_from(sorted({d, max(d, 4)})))
+    n = data.draw(st.integers(1, 6))
+    regions = _padded_regions(data, D, n)
+    values, rank = static_entropy._solve_dp(regions, D)
+    dp_values, _ = static_entropy._layered_dp(static_entropy._room(regions, D), D)
+    assert np.array_equal(values, dp_values)
+    for c in range(n):
+        assert sorted(rank[c]) == list(range(D))
+        glued = np.zeros(D)
+        for p in np.flatnonzero(regions[c]):
+            first = min((i for i in range(D) if (p >> i) & 1), key=lambda i: rank[c, i])
+            glued[first] += regions[c, p]
+        assert sum(static_entropy.phi(x) for x in glued) == pytest.approx(
+            values[c], abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("D", range(1, static_entropy._ORDER_MAX + 3))
+def test_subset_dp_solves_each_component_alone(D):
+    # a component's minimum and ranks do not depend on the other components
+    # of its batch, on either side of _ORDER_MAX: one batch of 64 random
+    # components, about a third of their regions empty, against 64 calls
+    rng = np.random.default_rng(D)
+    regions = rng.random((64, 2**D)) * (rng.random((64, 2**D)) < 0.7)
+    values, rank = static_entropy._solve_dp(regions, D)
+    for c in range(64):
+        alone = static_entropy._solve_dp(regions[c : c + 1], D)
+        assert np.array_equal(alone[0], values[c : c + 1])
+        assert np.array_equal(alone[1], rank[c : c + 1])
+
+
+def test_ordering_enumeration_memory_of_the_largest_group():
+    # the largest group that enumerates orderings, _DP_CHUNK >> _ORDER_MAX
+    # components of _ORDER_MAX elements (0.5 MB of regions), is taken in
+    # row chunks: the call holds at most 3 MB, where all rows at once would
+    # hold over 5 MB
+    D = static_entropy._ORDER_MAX
+    regions = np.random.default_rng(0).random((static_entropy._DP_CHUNK >> D, 2**D))
+    regions /= regions.sum(axis=1, keepdims=True)
+    static_entropy._order_tables(D)  # cached
+    tracemalloc.start()
+    try:
+        static_entropy._solve_dp(regions, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_many_16_element_components_hold_bounded_memory():
     # 40 atoms of 5 points, each met by 16 elements that hold 16 different
     # sets of its points: 40 components of 16 elements, whose regions take
