@@ -253,15 +253,7 @@ def refining_partition_rate(
     containment) built at the given window; monotone nonincreasing in the
     window.  On budget refusal the candidate class degrades to the
     ordered-difference partitions and the result says so."""
-    if U.system.is_word_system:
-        window = U.window if window is None else window
-        Uw = families.extend_window(U, window)
-    else:
-        window = 0
-        Uw = U
-    enum = families.ustar_enumerate(Uw, budget)
-    used_fallback = enum.refused
-    candidates = families.ext_partitions(Uw) if enum.refused else iter(enum)
+    window, candidates, used_fallback = families._finer_candidates(U, window, budget)
 
     best = None
     count = 0

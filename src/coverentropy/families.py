@@ -11,15 +11,17 @@ membership: numpy code indexes it instead of a dense element-by-word matrix.
 At 8 bytes a membership it grows with the memberships, not with elements
 times words; a partition holds one membership per word.  Partitions also
 cache one label per word (`partition_labels`), and labels are the only way
-a partition enters the partition formula of `static_entropy`: pairing two
-label arrays gives the cells of the join without building it as a family,
-and a partition computed on the fly, such as the glued minimizer of a cover,
-is written as labels and never validated as a `SetFamily`.
+a partition enters an entropy formula of `static_entropy`: pairing two label
+arrays gives the cells of the join without building it as a family, and a
+partition computed on the fly, such as the glued minimizer of a cover, or
+every assignment of the finer-partition enumeration at once (route C), is
+written as labels and never validated as a `SetFamily`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -344,14 +346,18 @@ def ext_partitions(
         yield SetFamily(U.system, U.window, PARTITION, tuple(cells))
 
 
+_LABEL_BLOCK = 256  # label rows that `UStarEnumeration.__iter__` holds at once
+
+
 @dataclass(frozen=True, eq=False)
 class UStarEnumeration:
     """Lazy enumeration of every partition finer than U with the positional
     constraint cell_m ⊆ U_m (empty cells allowed).
 
     When the assignment count exceeds the budget the object is a refusal:
-    `refused` is True, `total` still reports the true count, and iterating
-    raises UStarBudgetExceeded.  Callers fall back to `ext_partitions`.
+    `refused` is True, `total` still reports the true count, and `labels`
+    and iteration raise UStarBudgetExceeded.  `_finer_candidates` then falls
+    back to `ext_partitions`.
     """
 
     family: SetFamily
@@ -359,36 +365,48 @@ class UStarEnumeration:
     budget: int
     refused: bool
 
-    def __iter__(self) -> Iterator[SetFamily]:
+    def labels(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Assignments lo..hi-1 (all by default) as rows of per-word element
+        indices, in `itertools.product` order over each word's ascending
+        holders: one mixed-radix digit per word, the last varying fastest."""
         if self.refused:
             raise UStarBudgetExceeded(self.total, self.budget)
+        elems, words = self.family.incidence()
+        holders = elems[np.argsort(words, kind="stable")].astype(np.int64)
+        counts = np.bincount(words, minlength=self.family.universe_size)
+        start = np.cumsum(counts) - counts
+        stride = np.append(np.cumprod(counts[:0:-1])[::-1], 1)  # later words' product
+        hi = self.total if hi is None else min(hi, self.total)
+        rows = np.arange(lo, hi, dtype=np.int64)[:, None]
+        return holders[start + rows // stride % counts]
+
+    def __iter__(self) -> Iterator[SetFamily]:
         U = self.family
-        elems, words = U.incidence()
-        order = np.argsort(words, kind="stable")
-        cuts = np.nonzero(np.diff(words[order]))[0] + 1
-        choices = np.split(elems[order], cuts)
-        fixed = [0] * len(U)
-        free_words = []
-        for w, ch in enumerate(choices):
-            if len(ch) == 1:
-                fixed[ch[0]] |= 1 << w
-            else:
-                free_words.append((w, ch))
-        for combo in itertools.product(*(ch for _, ch in free_words)):
-            cells = list(fixed)
-            for (w, _), m in zip(free_words, combo):
-                cells[int(m)] |= 1 << w
-            yield SetFamily(U.system, U.window, PARTITION, tuple(cells))
+        for lo in range(0, self.total, _LABEL_BLOCK):
+            for row in self.labels(lo, lo + _LABEL_BLOCK).tolist():
+                cells = [0] * len(U)
+                for word, e in enumerate(row):
+                    cells[e] |= 1 << word
+                yield SetFamily(U.system, U.window, PARTITION, tuple(cells))
 
 
 def ustar_enumerate(U: SetFamily, budget: int = USTAR_BUDGET_DEFAULT) -> UStarEnumeration:
     counts = np.bincount(U.incidence()[1], minlength=U.universe_size)
-    if np.any(counts == 0):
-        raise FamilyError("carrier element not covered")  # unreachable by invariant
-    total = 1
-    for c in counts:
-        total *= int(c)
+    total = math.prod(counts.tolist())  # every word has a holder: U covers
     return UStarEnumeration(U, total, budget, refused=total > budget)
+
+
+def _finer_candidates(U: SetFamily, window: Optional[int], budget: int):
+    """(window, candidates, used_fallback) for the partitions finer than U
+    built at `window` (U's own if None; 0 on point carriers): the assignments
+    of `ustar_enumerate`, or the ordered-difference partitions on refusal."""
+    if U.system.is_word_system:
+        window = U.window if window is None else window
+        U = extend_window(U, window)
+    else:
+        window = 0
+    enum = ustar_enumerate(U, budget)
+    return window, ext_partitions(U) if enum.refused else iter(enum), enum.refused
 
 
 # ---------------------------------------------------------------------------

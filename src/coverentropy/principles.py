@@ -317,14 +317,8 @@ def minmax_check(
     under-approximated (finite grid plus simplex refinement) and the outer
     inf restricted to window-built partitions, so computed minmax <= true
     minmax; the verdict compares it against the combinatorial estimate."""
-    if U.system.is_word_system:
-        window = U.window if window is None else window
-        Uw = families.extend_window(U, window)
-    else:
-        window = 0
-        Uw = U
-    enum = families.ustar_enumerate(Uw, budget)
-    candidates = list(families.ext_partitions(Uw) if enum.refused else enum)
+    window, candidates, used_fallback = families._finer_candidates(U, window, budget)
+    candidates = list(candidates)
 
     dim, build = _measure_parameterization(sys) if sys.is_word_system else (0, None)
     rng = np.random.default_rng(seed)
@@ -369,7 +363,7 @@ def minmax_check(
             "window": window,
             "candidate_count": len(candidates),
             "per_candidate_sup": rows,
-            "used_ext_fallback": enum.refused,
+            "used_ext_fallback": used_fallback,
         },
         estimates={"combinatorial": top_est},
     )

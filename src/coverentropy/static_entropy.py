@@ -6,13 +6,14 @@ cover, and the cover entropies H(U) / H(U|beta) via exact minimization over
 ordered-difference partitions, cross-checked against the exhaustive
 finer-partition minimum whenever that enumeration is affordable.
 
-A partition enters the partition formula as one label per word, never as
-masks: `conditional_entropy` passes the cached `families.partition_labels`,
-and route B of `conditional_cover_entropy` writes the glued minimizer's
-labels straight from the per-atom solutions.  One `np.unique` of the label
-pairs then gives the cells of the join alpha v beta, so neither the join nor
-the glued partition is ever built as a family, and the cost is linear in
-the words whatever the number of atoms.
+A partition enters every entropy formula here as one label per word, never
+as masks: `conditional_entropy` passes the cached `families.partition_labels`,
+route B of `conditional_cover_entropy` writes the glued minimizer's labels
+straight from the per-atom solutions, and route C scores every finer
+partition at once from the rows of `families.UStarEnumeration.labels`.  One
+`np.unique` of the label pairs (and candidates) gives the cells of the joins
+with beta, so no partition is built as a family, and the cost is linear in
+the labels whatever the number of atoms.
 
 H(U|beta) is a minimization in each atom.  An element that holds the same
 positive-weight words of an atom as an earlier element gets an empty cell
@@ -150,19 +151,6 @@ def conditional_entropy(mu, alpha: SetFamily, beta: SetFamily) -> EntropyValue:
         w, families.partition_labels(alpha), len(alpha), families.partition_labels(beta)
     )
     return EntropyValue(max(h, 0.0), EXACT, 0.0)
-
-
-def _conditional_entropy_atoms(w, alpha_masks, beta_masks) -> float:
-    total = 0.0
-    for b in beta_masks:
-        base = measures.mask_mass(w, b)
-        if base <= 0.0:
-            continue
-        for a in alpha_masks:
-            cell = measures.mask_mass(w, a & b)
-            if cell > 0.0:
-                total += base * phi(cell / base)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +769,16 @@ def conditional_cover_entropy(
     if method != HEURISTIC and ustar_budget > 0:
         enum = families.ustar_enumerate(U, ustar_budget)
         if not enum.refused:
-            route_c = min(
-                _conditional_entropy_atoms(w, alpha.elements, beta.elements)
-                for alpha in enum
-            )
+            # every assignment at once, as the (candidate, atom, element) cells
+            # of its positive-weight words: O(ustar_budget x words) entries
+            pos = w > 0.0
+            lab = enum.labels()[:, pos]
+            keys = (np.arange(len(lab))[:, None] * len(beta) + lab_b[pos]) * len(U)
+            keys, cell_of = np.unique((keys + lab).ravel(), return_inverse=True)
+            cells = np.bincount(cell_of, weights=np.tile(w[pos], len(lab)))
+            ratio = cells / base_masses[keys // len(U) % len(beta)]
+            cand = keys // (len(U) * len(beta))
+            route_c = float(np.bincount(cand, weights=-cells * np.log(ratio)).min())
             if abs(route_a - route_c) > ROUTE_TOL:
                 raise RouteDisagreement(
                     f"per-atom route {route_a!r} vs exhaustive minimum {route_c!r}"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverentropy as ce
-from coverentropy import bitsets, families
+from coverentropy import bitsets, families, verify
 
 
 def masks_of(fam):
@@ -168,6 +169,66 @@ def test_ustar_budget_refusal(three_points, overlap_cover):
     assert enum.refused and enum.total == 2
     with pytest.raises(ce.UStarBudgetExceeded):
         iter(enum).__next__()
+
+
+def _product_labels(U):
+    """Reference order: `itertools.product` over each word's holders,
+    ascending, the last word varying fastest."""
+    holders = [[m for m, e in enumerate(U.elements) if e >> x & 1]
+               for x in range(U.universe_size)]
+    rows = list(itertools.product(*holders))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), U.universe_size)
+
+
+def test_ustar_labels_follow_product_order(three_points, overlap_cover):
+    sys, _ = three_points
+    rng = np.random.default_rng(5)
+    covers = [
+        overlap_cover,
+        ce.family_of_points(sys, [[0], [1, 2]], "partition"),
+        ce.family_of_points(ce.permutation([0, 1]), [[0, 1], [0], [0]], "cover"),
+    ]
+    for _ in range(30):
+        inst = verify.rand_point_instance(rng, ustar_cap=512)
+        covers.append(verify.build_point_instance(inst)[2][0])
+    for U in covers:
+        enum = ce.ustar_enumerate(U)
+        full = enum.labels()
+        assert full.shape == (enum.total, U.universe_size)
+        np.testing.assert_array_equal(full, _product_labels(U))
+        n = enum.total
+        for lo, hi in ((0, 1), (0, n), (1, n), (n // 2, n // 2 + 3), (n - 1, n), (2, n + 5)):
+            np.testing.assert_array_equal(enum.labels(lo, hi), full[lo:hi])
+        # each family of the iteration is its row, in the same order
+        for row, fam in zip(full, enum):
+            assert fam.elements == tuple(
+                bitsets.mask_from_indices(np.flatnonzero(row == m)) for m in range(len(U))
+            )
+
+
+def test_ustar_labels_refusal(three_points, overlap_cover):
+    enum = ce.ustar_enumerate(overlap_cover, budget=1)
+    with pytest.raises(ce.UStarBudgetExceeded):
+        enum.labels()
+    with pytest.raises(ce.UStarBudgetExceeded):
+        enum.labels(0, 1)
+
+
+def test_ustar_iteration_is_lazy():
+    sys = ce.permutation(list(range(20)))
+    everything = list(range(20))
+    U = ce.family_of_points(sys, [everything, everything], "cover")
+    enum = ce.ustar_enumerate(U, budget=1 << 20)
+    assert enum.total == 1 << 20 and not enum.refused
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(enum, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    full = bitsets.full_mask(20)
+    assert [f.elements for f in first[:2]] == [(full, 0), (full ^ 1 << 19, 1 << 19)]
 
 
 def test_ustar_outputs_refine(three_points, overlap_cover):

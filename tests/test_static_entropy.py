@@ -552,6 +552,26 @@ def test_cover_entropy_matches_exhaustive_minimum(three_points):
         assert ce.cover_entropy(mu, U).nats == pytest.approx(best, abs=1e-12)
 
 
+def test_route_c_reads_every_label_row(monkeypatch):
+    """Route C is the least score over the label rows: with its optimal rows
+    dropped it no longer meets route A, and the call fails."""
+    sys = ce.permutation([0, 1, 2, 3])
+    mu = ce.cycle_measure(sys, [0.4, 0.3, 0.2, 0.1])
+    U = ce.family_of_points(sys, [[0, 1, 2], [1, 2, 3], [0, 3]], "cover")
+    beta = ce.family_of_points(sys, [[0, 1], [2, 3]], "partition")
+    enum = ce.ustar_enumerate(U, 4096)
+    scores = [ce.conditional_entropy(mu, f, beta).nats for f in enum]
+    got = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=4096)
+    assert got.nats == pytest.approx(min(scores), abs=1e-12)
+    keep = np.array(scores) > min(scores) + 1e-6
+    assert keep.any()
+    labels = families.UStarEnumeration.labels
+    monkeypatch.setattr(families.UStarEnumeration, "labels",
+                        lambda self, lo=0, hi=None: labels(self, lo, hi)[keep])
+    with pytest.raises(ce.RouteDisagreement):
+        ce.conditional_cover_entropy(mu, U, beta, ustar_budget=4096)
+
+
 def test_conditional_cover_entropy_examples(three_points, overlap_cover):
     sys, mu = three_points
     V = ce.family_of_points(sys, [[0], [1, 2]], "partition")
