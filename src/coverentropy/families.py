@@ -406,7 +406,7 @@ def _finer_candidates(U: SetFamily, window: Optional[int], budget: int):
     else:
         window = 0
     enum = ustar_enumerate(U, budget)
-    return window, ext_partitions(U) if enum.refused else iter(enum), enum.refused
+    return window, (ext_partitions(U) if enum.refused else iter(enum)), enum.refused
 
 
 # ---------------------------------------------------------------------------
