@@ -169,6 +169,11 @@ def _check_task(task, i, sys):
         raise ConfigError(
             "BAD_CONFIG", f"n_max must be an integer >= 2, not {n_max!r}", i
         )
+    budget = task.get("budget")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ConfigError(
+            "BAD_CONFIG", f"budget must be an integer >= 0, not {budget!r}", i
+        )
 
 
 def load_config(path) -> ExperimentConfig:

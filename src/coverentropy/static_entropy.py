@@ -40,12 +40,14 @@ four components of 31 to 63 elements in criterion 10, which the search
 closes at its root.
 
 All of that up to the masses depends only on the family pair and on which
-words have positive weight: `_solve_plan` builds it once, and U keeps one
-plan, keyed by the conditioner (by identity), the support w > 0 and the
-constants DP_MAX and _DP_CHUNK.  A rate loop over measures of one support,
-such as `principles.variational_search` over Markov measures with every
-allowed transition positive, then only bins the masses into regions, runs
-the DPs, glues and checks the routes for each new measure.
+words have positive weight.  `_solve_plan` builds it in one Python pass over
+the positive-weight memberships, and only its finished fields become arrays,
+so that a one-shot solve on a few memberships pays a few numpy calls.  U
+keeps one plan, keyed by the conditioner (by identity), the support w > 0
+and the constants DP_MAX and _DP_CHUNK.  A rate loop over measures of one
+support, such as `principles.variational_search` over Markov measures with
+every allowed transition positive, then only bins the masses into regions,
+runs the DPs, glues and checks the routes for each new measure.
 """
 
 from __future__ import annotations
@@ -402,14 +404,13 @@ def _minimize_component(
     return incumbent, inc_cells, closed, nodes
 
 
-def _component_labels(rows: np.ndarray, words: np.ndarray, n_rows: int) -> np.ndarray:
-    """The positive-overlap components of rows 0..n_rows-1, where row rows[k]
-    holds word words[k] and the pairs are sorted by word: rows are linked when
-    they hold a common word.  Returns each row's component, numbered in order
-    of the components' smallest rows."""
-    # a union-find, not scipy.sparse.csgraph: on 60 rows scipy's per-call
-    # overhead makes it ~3x slower, and one-shot solves on fresh families
-    # (thousands in a batch of small instances) build a plan on every call
+def _component_labels(holders, n_rows: int) -> list[int]:
+    """The positive-overlap components of rows 0..n_rows-1, given the
+    ascending holder rows of each word: rows are linked when they hold a
+    common word.  Returns each row's component, numbered in order of the
+    components' smallest rows."""
+    # a union-find in Python, not scipy.sparse.csgraph: a one-shot solve links
+    # a handful of rows, where a scipy or numpy call costs more than the loop
     parent = list(range(n_rows))
 
     def find(x):
@@ -419,13 +420,14 @@ def _component_labels(rows: np.ndarray, words: np.ndarray, n_rows: int) -> np.nd
         return x
 
     # chaining each word's consecutive holders connects all of them
-    link = np.flatnonzero(words[1:] == words[:-1])
-    for i, j in zip(rows[link].tolist(), rows[link + 1].tolist()):
-        a, b = find(i), find(j)
-        if a != b:
-            parent[max(a, b)] = min(a, b)  # every root is its component's smallest row
+    for held in holders:
+        for i, j in zip(held, held[1:]):
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)  # every root is its component's smallest row
     roots = [find(x) for x in range(n_rows)]
-    return np.unique(roots, return_inverse=True)[1]
+    number = {root: k for k, root in enumerate(dict.fromkeys(roots))}  # roots ascend
+    return [number[root] for root in roots]
 
 
 # Components of at most DP_MAX elements are solved exactly by batched subset
@@ -609,84 +611,77 @@ class _SolvePlan:
 def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
     """The plan of H(U|beta) under any weights w with the same support w > 0;
     only the support is read."""
-    lab_b = families.partition_labels(beta)
-    # the memberships on positive-weight words, sorted by word, and one row
-    # per (atom, element) pair that holds one, ordered by atom and element
+    ints = functools.partial(np.array, dtype=np.int64)
     elems, words = U.incidence()
     pos = w[words] > 0.0
-    by_word = np.argsort(words[pos], kind="stable")
-    elems, words = elems[pos][by_word], words[pos][by_word]
-    row_keys, row_of = np.unique(lab_b[words] * len(U) + elems, return_inverse=True)
-    # a row that holds the same words as an earlier one gets an empty cell in
-    # every ordering, so only the first row of each word set stays, whatever
-    # the size of its component; a word lies in one atom, so equal word sets
-    # are rows of one atom
-    ends = np.cumsum(np.bincount(row_of)).tolist()
-    held = words[np.argsort(row_of, kind="stable")].tolist()  # by row, then word
-    first_row: dict[tuple, int] = {}
-    kept = np.array([first_row.setdefault(tuple(held[lo:hi]), r) == r
-                     for r, (lo, hi) in enumerate(zip([0] + ends, ends))])
-    keep = kept[row_of]
-    words, row_of = words[keep], (np.cumsum(kept) - 1)[row_of[keep]]
-    row_atoms, row_elems = np.divmod(row_keys[kept], len(U))
-    comp_of_row = _component_labels(row_of, words, len(row_atoms))
-    sizes = np.bincount(comp_of_row)
-    comp_atom = np.zeros(len(sizes), dtype=np.int64)
-    comp_atom[comp_of_row] = row_atoms
-    # the rows grouped by component, ascending inside each; a row's slot is
-    # its rank in its component
-    comp_rows = np.argsort(comp_of_row, kind="stable")
-    comp_start = np.cumsum(sizes) - sizes
-    slot = np.empty(len(row_atoms), dtype=np.int64)
-    slot[comp_rows] = np.arange(len(row_atoms)) - comp_start[comp_of_row[comp_rows]]
+    atoms = families.partition_labels(beta)[words[pos]]
+    rows: dict[tuple, list] = {}  # (atom, element): its positive-weight words
+    for a, e, x in zip(atoms.tolist(), elems[pos].tolist(), words[pos].tolist()):
+        rows.setdefault((a, e), []).append(x)
+    # rows by atom and element; a row that holds the same words as an earlier
+    # one (of its atom, as a word lies in one atom) gets an empty cell in every
+    # ordering, so it leaves, whatever the size of its component
+    kept: dict[tuple, tuple] = {}
+    for key in sorted(rows):
+        kept.setdefault(tuple(rows[key]), key)
+    row_keys = list(kept.values())
+    holders: dict[int, list] = {}  # each word's rows, ascending
+    for r, held in enumerate(kept):
+        for x in held:
+            holders.setdefault(x, []).append(r)
+    comp_of_row = _component_labels(holders.values(), len(kept))
+    # each component's rows, ascending (a row's slot is its rank there), and
+    # its padded size D, or 0 past DP_MAX
+    comp_rows: list[list] = [[] for _ in range(max(comp_of_row, default=-1) + 1)]
+    slot = []
+    for r, c in enumerate(comp_of_row):
+        slot.append(len(comp_rows[c]))
+        comp_rows[c].append(r)
+    dims = [max(len(rs), _DP_MIN) if len(rs) <= DP_MAX else 0 for rs in comp_rows]
 
-    # components of at most DP_MAX elements: each word's holder pattern
-    dp = sizes <= DP_MAX
-    in_dp = dp[comp_of_row[row_of]]
-    d_rows, d_words = row_of[in_dp], words[in_dp]
-    first = np.flatnonzero(np.diff(d_words, prepend=-1))  # each word's first pair
-    word_ids = d_words[first]
-    word_comp = comp_of_row[d_rows[first]]
-    pattern = np.add.reduceat(1 << slot[d_rows], first)
-    # the components by padded size, cut into groups of one size D and at
-    # most max(1, _DP_CHUNK >> D) components, so that one DP holds a bounded
-    # number of regions; each group's words are one run of `word_order`
-    dims = np.maximum(sizes, _DP_MIN)
-    by_dim = np.flatnonzero(dp)[np.argsort(dims[dp], kind="stable")]
-    dim = dims[by_dim]
-    place = np.arange(len(by_dim)) - np.searchsorted(dim, dim)  # inside its size
-    local = place % np.maximum(1, _DP_CHUNK >> dim)  # inside its group
-    cuts = np.append(np.flatnonzero(local == 0), len(by_dim))
-    position = np.zeros(len(sizes), dtype=np.int64)
-    position[by_dim] = np.arange(len(by_dim))
-    word_pos = position[word_comp]
-    word_order = np.argsort(word_pos, kind="stable")
-    word_cuts = np.searchsorted(word_pos[word_order], cuts).tolist()
-    groups = []
-    for g, (lo, hi) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
-        D = int(dim[lo])
-        ws = word_order[word_cuts[g] : word_cuts[g + 1]]
-        keys = (local[word_pos[ws]] << D) + pattern[ws]
-        groups.append((D, by_dim[lo:hi], ws, keys, (hi - lo) << D))
+    # each word, ascending: in a component of at most DP_MAX elements, its
+    # holder pattern and its run of the gather; in a larger one, its holders
+    word_ids, word_comp, first, gather = [], [], [], []
+    comp_words: list[list] = [[] for _ in comp_rows]
+    for x in sorted(holders):
+        held = holders[x]
+        c = comp_of_row[held[0]]
+        if dims[c]:
+            comp_words[c].append((len(word_ids), sum(1 << slot[r] for r in held)))
+            word_ids.append(x)
+            word_comp.append(c)
+            first.append(len(gather))
+            gather += held
+        else:
+            comp_words[c].append((x, held))
+    # the components by padded size D, in groups of one size and at most
+    # max(1, _DP_CHUNK >> D) components, so that one DP holds a bounded number
+    # of regions; a group's words run by component, then by word
+    groups, prev, place = [], 0, 0
+    for c in sorted((c for c, D in enumerate(dims) if D), key=dims.__getitem__):
+        D = dims[c]
+        place = place + 1 if D == prev else 0  # inside its size
+        prev, local = D, place % max(1, _DP_CHUNK >> D)  # inside its group
+        if local == 0:
+            groups.append((D, [], [], []))
+        groups[-1][1].append(c)
+        for i, pattern in comp_words[c]:
+            groups[-1][2].append(i)
+            groups[-1][3].append((local << D) + pattern)
+    groups = [(D, ints(cs), ints(ws), ints(ks), len(cs) << D) for D, cs, ws, ks in groups]
 
     # larger components: their memberships, for the best-first search
-    b_pairs = np.flatnonzero(~in_dp)
-    b_pairs = b_pairs[np.argsort(comp_of_row[row_of[b_pairs]], kind="stable")]
-    b_comp = comp_of_row[row_of[b_pairs]]
-    big_comps = np.flatnonzero(~dp)
-    lows = np.searchsorted(b_comp, big_comps).tolist()
-    highs = np.searchsorted(b_comp, big_comps, side="right").tolist()
     big = []
-    for c, lo, hi in zip(big_comps.tolist(), lows, highs):
-        pairs = b_pairs[lo:hi]
-        cols, col_of = np.unique(words[pairs], return_inverse=True)
-        memb = np.zeros((sizes[c], len(cols)), dtype=bool)
-        memb[slot[row_of[pairs]], col_of] = True
-        members = row_elems[comp_rows[comp_start[c] : comp_start[c] + sizes[c]]]
-        big.append((c, cols, memb, members))
+    for c in (c for c, D in enumerate(dims) if not D):
+        memb = np.zeros((len(comp_rows[c]), len(comp_words[c])), dtype=bool)
+        memb[[slot[r] for _, held in comp_words[c] for r in held],
+             [j for j, (_, held) in enumerate(comp_words[c]) for _ in held]] = True
+        big.append((c, ints([x for x, _ in comp_words[c]]), memb,
+                    ints([row_keys[r][1] for r in comp_rows[c]])))
     return _SolvePlan(
-        comp_atom, word_ids, word_comp, first, groups,
-        comp_of_row[d_rows], slot[d_rows], row_elems[d_rows], big,
+        ints([row_keys[rs[0]][0] for rs in comp_rows]), ints(word_ids), ints(word_comp),
+        ints(first), groups, ints([comp_of_row[r] for r in gather]),
+        ints([slot[r] for r in gather]), ints([row_keys[r][1] for r in gather]), big,
     )
 
 

@@ -232,6 +232,19 @@ def test_n_max_override_below_two_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget", ["many", -1, True])
+def test_bad_budget_exits_2(tmp_path, capsys, budget):
+    # the budget reaches the finer-partition enumeration, which compares it
+    # with the assignment count; anything but a non-negative int is refused
+    # with the document, not met there as a TypeError
+    tasks = [{"kind": "h_plus", "measure": "parry", "cover": "overlap",
+              "conditioner": "letters", "n_max": 2, "budget": budget}]
+    path = write_config(tmp_path, tasks)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "BAD_CONFIG" in err and "task 0" in err and "budget" in err
+
+
 @pytest.mark.parametrize(
     "kind", [k for k, keys in config.TASK_KINDS.items() if "conditioner" in keys]
 )

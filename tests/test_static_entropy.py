@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -228,7 +230,9 @@ def test_overlap_components_match_pairwise_definition(data):
     cols, elems = np.nonzero(memb[:, pos].T)
     words = pos[cols]
     row_keys, row_of = np.unique(atom_of[words] * d + elems, return_inverse=True)
-    labels = static_entropy._component_labels(row_of, words, len(row_keys))
+    labels = np.array(static_entropy._component_labels(
+        [row_of[words == x].tolist() for x in np.unique(words)], len(row_keys)
+    ), dtype=np.int64)
     got = [row_keys[labels == c].tolist() for c in range(labels.max(initial=-1) + 1)]
     # atoms ascending, each atom's components by smallest row; rows that hold
     # no positive-weight word of the atom have no row
@@ -510,6 +514,49 @@ def test_cover_entropy_of_mixed_components_matches_all_orderings(data):
             assert ce.conditional_cover_entropy(mu, U, beta, ustar_budget=0) == v
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_components_past_dp_max_match_all_orderings(data):
+    # with DP_MAX lowered to 2 and 3, larger components go to the best-first
+    # search, under a budget it never runs out of.  Points 0-2 lie in atom 0
+    # with positive weight and the first four elements overlap on them, so
+    # every instance has a component of 4 distinct elements; the drawn rest
+    # brings zero weights, a repeated element and a second atom
+    m = data.draw(st.integers(4, 9))
+    weights = [1.0, 2.0, 1.0] + data.draw(
+        st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=m - 3, max_size=m - 3)
+    )
+    weights = [x / sum(weights) for x in weights]
+    elements = [frozenset(e) for e in ({0, 1}, {1, 2}, {0, 2}, {0, 1, 2})]
+    elements += data.draw(st.lists(
+        st.frozensets(st.integers(0, m - 1), min_size=1), max_size=2
+    ))
+    elements.append(data.draw(st.sampled_from(elements)))
+    missing = frozenset(range(m)).difference(*elements)
+    if missing:
+        elements[-1] = elements[-1] | missing
+    labels = [0, 0, 0] + data.draw(
+        st.lists(st.integers(0, 2), min_size=m - 4, max_size=m - 4)
+    ) + [1]
+    atoms = [frozenset(x for x in range(m) if labels[x] == a) for a in set(labels)]
+    sys = ce.permutation(list(range(m)))
+    mu = ce.cycle_measure(sys, weights)
+    U = ce.family_of_points(sys, [sorted(e) for e in elements], "cover")
+    beta = ce.family_of_points(sys, [sorted(a) for a in atoms], "partition")
+    expected = _cover_entropy_by_orderings(weights, elements, atoms)
+    v = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=0)
+    for dp_max in (2, 3):
+        with mock.patch.object(static_entropy, "DP_MAX", dp_max), \
+                mock.patch.object(static_entropy, "_minimize_component",
+                                  wraps=static_entropy._minimize_component) as search:
+            got = ce.conditional_cover_entropy(mu, U, beta, node_budget=10**6,
+                                               ustar_budget=0)
+        assert search.call_count >= 1
+        assert got.method == "branch_and_bound"
+        assert got.nats == pytest.approx(expected, abs=1e-12)
+        assert got.nats == pytest.approx(v.nats, abs=1e-12)
+
+
 def test_cover_entropy_partition_is_shannon(three_points):
     sys, mu = three_points
     alpha = ce.family_of_points(sys, [[0], [1, 2]], "partition")
@@ -710,3 +757,20 @@ def test_cached_plans_equal_fresh_family_solves(data):
         v = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=0)
         fresh = ce.conditional_cover_entropy(mu, _fresh(U), _fresh(beta), ustar_budget=0)
         assert v == fresh
+
+
+def test_one_shot_values_match_recorded():
+    # 300 seeded one-shot instances on permutation systems, 162 of them with
+    # zero cycle weights and every other one with route C, recorded at
+    # commit 42d410a: any rewrite of the solve plan must reproduce each value
+    # and its method and certificate
+    rows = json.loads((Path(__file__).parent / "one_shot_values.json").read_text())
+    assert len(rows) == 300
+    for row in rows:
+        sys = ce.permutation(row["mapping"])
+        mu = ce.cycle_measure(sys, row["cycle_weights"])
+        U = ce.family_of_points(sys, row["elements"], row["kind"])
+        beta = ce.family_of_points(sys, row["atoms"], "partition")
+        v = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=row["ustar_budget"])
+        assert (v.method, v.certificate) == (row["method"], row["certificate"])
+        assert v.nats == pytest.approx(row["nats"], abs=1e-9)
