@@ -419,15 +419,15 @@ def _component_labels(holders, n_rows: int) -> list[int]:
             x = parent[x]
         return x
 
-    # chaining each word's consecutive holders connects all of them
+    # linking each word's holders to its first connects all of them
     for held in holders:
-        for i, j in zip(held, held[1:]):
-            a, b = find(i), find(j)
+        a = find(held[0])
+        for b in map(find, held[1:]):
             if a != b:
-                parent[max(a, b)] = min(a, b)  # every root is its component's smallest row
-    roots = [find(x) for x in range(n_rows)]
-    number = {root: k for k, root in enumerate(dict.fromkeys(roots))}  # roots ascend
-    return [number[root] for root in roots]
+                a, b = min(a, b), max(a, b)
+                parent[b] = a  # every root is its component's smallest row
+    number: dict[int, int] = {}  # roots first appear in ascending order
+    return [number.setdefault(find(x), len(number)) for x in range(n_rows)]
 
 
 # Components of at most DP_MAX elements are solved exactly by batched subset
