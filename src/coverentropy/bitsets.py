@@ -32,21 +32,21 @@ def bools_from_mask(mask: int, size: int) -> np.ndarray:
 def unpack_masks(masks) -> tuple[np.ndarray, np.ndarray]:
     """(mask index, bit position) of every set bit of every mask, sorted by
     mask and then by position.  Each mask is unpacked from its lowest set bit
-    only, in one numpy pass over all of them, so the cost follows the masks'
-    spans, not the universe."""
-    lows, chunks = [], []
+    only, in one pass of eight numpy calls over all of them (the loop keeps
+    the offsets), so the cost follows the masks' spans, not the universe."""
+    shifts, ends, chunks, nbits = [], [], [], 0
     for m in masks:
         low = max((m & -m).bit_length() - 1, 0)
         span = m >> low
-        lows.append(low)
         chunks.append(span.to_bytes((span.bit_length() + 7) // 8, "little"))
-    nbytes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
-    start = 8 * (np.cumsum(nbytes) - nbytes)  # first bit of each mask's span
+        shifts.append(low - nbits)  # from a bit of the joined spans to its position
+        nbits += 8 * len(chunks[-1])
+        ends.append(nbits)
     raw = np.frombuffer(b"".join(chunks), dtype=np.uint8)
     pos = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-    # an empty mask has no bytes and shares its start with the next mask
-    which = np.searchsorted(start, pos, side="right") - 1
-    return which, np.array(lows, dtype=np.int64)[which] + pos - start[which]
+    # an empty mask has no bytes and ends where the mask before it ends
+    which = np.searchsorted(np.array(ends, dtype=np.int64), pos, side="right")
+    return which, pos + np.array(shifts, dtype=np.int64)[which]
 
 
 def preimage(mask: int, size: int, index_map: np.ndarray) -> int:
