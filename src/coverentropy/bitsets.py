@@ -38,9 +38,10 @@ def unpack_masks(masks) -> tuple[np.ndarray, np.ndarray]:
     for m in masks:
         low = max((m & -m).bit_length() - 1, 0)
         span = m >> low
-        chunks.append(span.to_bytes((span.bit_length() + 7) // 8, "little"))
+        nbytes = (span.bit_length() + 7) // 8
+        chunks.append(span.to_bytes(nbytes, "little"))
         shifts.append(low - nbits)  # from a bit of the joined spans to its position
-        nbits += 8 * len(chunks[-1])
+        nbits += 8 * nbytes
         ends.append(nbits)
     raw = np.frombuffer(b"".join(chunks), dtype=np.uint8)
     pos = np.flatnonzero(np.unpackbits(raw, bitorder="little"))

@@ -44,10 +44,9 @@ words have positive weight.  `_solve_plan` builds it in one Python pass over
 the positive-weight memberships, and only its finished fields become arrays,
 so that a one-shot solve on a few memberships pays a few numpy calls.  U
 keeps one plan, keyed by the conditioner (by identity), the support w > 0
-and the constants DP_MAX and _DP_CHUNK.  A rate loop over measures of one
-support, such as `principles.variational_search` over Markov measures with
-every allowed transition positive, then only bins the masses into regions,
-runs the DPs, glues and checks the routes for each new measure.
+and DP_MAX and _DP_CHUNK.  A rate loop over measures of one support, such as
+`principles.variational_search` (every allowed transition positive), then
+only bins the masses, runs the DPs, glues and checks the routes per measure.
 """
 
 from __future__ import annotations
