@@ -531,10 +531,10 @@ def test_components_past_dp_max_match_all_orderings(data):
     elements += data.draw(st.lists(
         st.frozensets(st.integers(0, m - 1), min_size=1), max_size=2
     ))
-    elements.append(data.draw(st.sampled_from(elements)))
     missing = frozenset(range(m)).difference(*elements)
     if missing:
-        elements[-1] = elements[-1] | missing
+        elements.append(missing)
+    elements.append(data.draw(st.sampled_from(elements)))
     labels = [0, 0, 0] + data.draw(
         st.lists(st.integers(0, 2), min_size=m - 4, max_size=m - 4)
     ) + [1]
