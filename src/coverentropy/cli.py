@@ -66,116 +66,72 @@ def _report_files(report, outdir, stem, scale):
                   n_max, tol]])
 
 
-def _given(**options) -> dict:
-    """The options that a task or a flag sets; the library's own defaults
-    stand for the rest."""
-    return {k: v for k, v in options.items() if v is not None}
+# each kind's library call, as (module, name) so that the call finds a
+# patched function; it takes the task's `config.TASK_KINDS` values in order
+# and its set options as keywords
+_CALLS = {
+    "static": (static_entropy, "conditional_cover_entropy"),
+    "count": (static_entropy, "covering_number"),
+    "h_minus": (dynamic_entropy, "joined_cover_rate"),
+    "h_plus": (dynamic_entropy, "refining_partition_rate"),
+    "h_top": (dynamic_entropy, "covering_rate"),
+    "power_check": (dynamic_entropy, "power_identity_check"),
+    "factor_check": (principles, "factor_invariance_check"),
+    "variational": (principles, "variational_search"),
+    "minmax": (principles, "minmax_check"),
+    "bracket": (principles, "cover_rate_bracket"),
+    "ergodic_check": (principles, "ergodic_additivity_check"),
+    "factor_cond": (principles, "factor_conditioned_profile"),
+}
 
 
-def _run_task(cfg, i, task, outdir, scale, seed, n_max_override, tol_override):
-    kind = task["kind"]
+def _run_task(cfg, i, outdir, scale):
+    kind = cfg.tasks[i]["kind"]
     stem = f"task_{i:02d}_{kind}"
-    n_max = n_max_override or task.get("n_max")
-    tol = tol_override if tol_override is not None else task.get("tolerance")
-
-    def fam(key):
-        return cfg.family(task[key], i)
-
-    def meas(key="measure"):
-        return cfg.measure(task[key], i)
+    args, options = cfg.arguments(i), cfg.options(i)
+    if kind in ("static", "count"):
+        args[-2:] = families.align_windows(*args[-2:])
+    elif kind == "ergodic_check":
+        args[0] = measures.ergodic_decompose(args[0])
+    elif kind in ("variational", "minmax"):
+        args, options = [cfg.system, *args], dict(options, seed=cfg.seed)
+    module, name = _CALLS[kind]
+    result = getattr(module, name)(*args, **options)
 
     if kind == "static":
-        U, beta = fam("cover"), fam("conditioner")
-        U, beta = families.align_windows(U, beta)
-        v = static_entropy.conditional_cover_entropy(meas(), U, beta)
-        row = ("conditional_cover_entropy", _fmt(v.nats, scale), v.method)
-        doc = {"quantity": row[0], "value": v.nats, "method": v.method}
+        row = ("conditional_cover_entropy", _fmt(result.nats, scale), result.method)
+        doc = {"quantity": row[0], "value": result.nats, "method": result.method}
         _task_files(outdir, stem, json.dumps(doc), ["quantity", "value", "method"],
                     [row])
-        return ("static", row[0], v.nats * scale, None, "ok", n_max or 1, None)
+        return ("static", row[0], result.nats * scale, None, "ok", 1, None)
 
     if kind == "count":
-        U, beta = families.align_windows(fam("cover"), fam("conditioner"))
-        n = static_entropy.covering_number(U, beta)
-        doc = {"quantity": "covering_number", "value": n}
+        doc = {"quantity": "covering_number", "value": result}
         _task_files(outdir, stem, json.dumps(doc), ["quantity", "value"],
-                    [["covering_number", n]])
-        return ("count", "covering_number", float(n), None, "ok", 1, None)
+                    [["covering_number", result]])
+        return ("count", "covering_number", float(result), None, "ok", 1, None)
 
     if kind in ("h_minus", "h_top", "h_plus"):
-        U, beta = fam("cover"), fam("conditioner")
-        if kind == "h_minus":
-            est = dynamic_entropy.joined_cover_rate(
-                meas(), U, beta, **_given(n_max=n_max)
-            )
-        elif kind == "h_top":
-            est = dynamic_entropy.covering_rate(U, beta, **_given(n_max=n_max))
-        else:
-            est = dynamic_entropy.refining_partition_rate(
-                meas(), U, beta, **_given(
-                    n_max=n_max, window=task.get("window"), budget=task.get("budget")
-                ),
-            ).estimate
+        est = result.estimate if kind == "h_plus" else result
         _estimate_files(est, outdir, stem, scale)
         return (kind, est.quantity, est.running_inf * scale,
                 est.stabilization_gap * scale, est.exactness, est.n_max, None)
 
     if kind == "power_check":
-        rep = dynamic_entropy.power_identity_check(
-            meas(), fam("cover"), fam("conditioner"), int(task["M"]),
-            **_given(n_max=n_max, tolerance=tol),
-        )
-        _task_files(outdir, stem, json.dumps(rep.to_json_dict(), indent=2),
+        _task_files(outdir, stem, json.dumps(result.to_json_dict(), indent=2),
                     ["N", "base_side", "power_side", "gap"],
                     [[N, _fmt(a, scale), _fmt(b, scale), _fmt(abs(a - b), scale)]
-                     for N, a, b in rep.pairs])
-        if rep.verdict == "violated":
+                     for N, a, b in result.pairs])
+        if result.verdict == "violated":
             raise TaskFailure(EXIT_VIOLATION, f"power identity violated (task {i})")
-        return ("power_check", "power_identity", rep.max_gap, None, rep.verdict,
-                len(rep.pairs), rep.tolerance)
+        return ("power_check", "power_identity", result.max_gap, None,
+                result.verdict, len(result.pairs), result.tolerance)
 
-    if kind == "factor_check":
-        rep = principles.factor_invariance_check(
-            cfg.factor_map(task["factor"], i), meas(), fam("cover"),
-            fam("conditioner"), **_given(n_max=n_max, tolerance=tol),
-        )
-    elif kind == "variational":
-        rep = principles.variational_search(
-            cfg.system, fam("cover"), fam("conditioner"), seed=seed, **_given(
-                n_max=n_max, starts=task.get("starts"),
-                max_iter=task.get("max_iter"), tolerance=tol,
-            ),
-        )
-    elif kind == "minmax":
-        grid = [cfg.measure(name, i) for name in task.get("measures", [])]
-        rep = principles.minmax_check(
-            cfg.system, fam("cover"), fam("conditioner"), grid, seed=seed,
-            **_given(n_max=n_max, window=task.get("window"), tolerance=tol),
-        )
-    elif kind == "bracket":
-        rep = principles.cover_rate_bracket(
-            meas(), fam("cover"), fam("conditioner"),
-            **_given(n_max=n_max, windows=task.get("windows"), tolerance=tol),
-        )
-    elif kind == "ergodic_check":
-        comps = measures.ergodic_decompose(meas())
-        rep = principles.ergodic_additivity_check(
-            comps, fam("family"), fam("conditioner"),
-            **_given(n_max=n_max, tolerance=tol),
-        )
-    elif kind == "factor_cond":
-        rep = principles.factor_conditioned_profile(
-            meas(), cfg.factor_map(task["factor"], i), fam("cover"),
-            **_given(windows=task.get("windows"), n_max=n_max),
-        )
-    else:  # pragma: no cover - kinds validated by the loader
-        raise config_mod.ConfigError("BAD_CONFIG", f"unhandled kind {kind}", i)
-
-    _report_files(rep, outdir, stem, scale)
-    if rep.verdict == principles.VIOLATED:
-        raise TaskFailure(EXIT_VIOLATION, f"{rep.name} violated (task {i})")
-    return (kind, rep.name, rep.lhs * scale, rep.gap * scale, rep.verdict,
-            rep.n_max, rep.tolerance)
+    _report_files(result, outdir, stem, scale)
+    if result.verdict == principles.VIOLATED:
+        raise TaskFailure(EXIT_VIOLATION, f"{result.name} violated (task {i})")
+    return (kind, result.name, result.lhs * scale, result.gap * scale,
+            result.verdict, result.n_max, result.tolerance)
 
 
 def run(config_path, output_dir, seed=None, n_max=None, tolerance=None,
@@ -186,21 +142,17 @@ def run(config_path, output_dir, seed=None, n_max=None, tolerance=None,
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = config_mod.load_config(config_path)
+        cfg = config_mod.load_config(config_path, seed, n_max, tolerance)
     except config_mod.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if n_max is not None and n_max < 2:
-        print(f"config error: n_max must be >= 2, not {n_max}", file=sys.stderr)
-        return EXIT_CONFIG
     scale = 1.0 / math.log(2.0) if bits else 1.0
-    use_seed = cfg.seed if seed is None else seed
 
     rows = []
     status = EXIT_OK
     for i, task in enumerate(cfg.tasks):
         try:
-            row = _run_task(cfg, i, task, outdir, scale, use_seed, n_max, tolerance)
+            row = _run_task(cfg, i, outdir, scale)
             rows.append((i,) + row)
         except config_mod.ConfigError as e:
             print(f"task {i} config error: {e}", file=sys.stderr)

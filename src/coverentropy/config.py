@@ -2,6 +2,12 @@
 families, factor maps, and a task list.  Words are written as digit strings;
 permutation carriers use point-index lists.
 
+Three tables hold the task schema: `TASK_KINDS` (the names and values a kind
+needs), `TASK_OPTIONS` (the options it forwards when they are set) and
+`TASK_RULES` (what every task key may hold); `DOCUMENT_RULES` does the same
+for the document's own keys.  `load_config` checks every key present, so a
+bad value is refused where the document enters.
+
 Errors carry machine-readable codes so the runner can map them to exit
 statuses: BAD_CONFIG (malformed document), NAME_UNRESOLVED (dangling
 reference), INVALID_FAMILY / INVALID_MEASURE / INVALID_SYSTEM (object fails
@@ -10,13 +16,16 @@ its invariants).
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import families, measures, systems
 
-# every task kind with the keys its runner reads without a default
+# every task kind with the keys it needs, in the order its library call
+# takes them
 TASK_KINDS = {
     "static": ("measure", "cover", "conditioner"),
     "count": ("cover", "conditioner"),
@@ -26,11 +35,77 @@ TASK_KINDS = {
     "power_check": ("measure", "cover", "conditioner", "M"),
     "factor_check": ("factor", "measure", "cover", "conditioner"),
     "variational": ("cover", "conditioner"),
-    "minmax": ("measures", "cover", "conditioner"),
+    "minmax": ("cover", "conditioner", "measures"),
     "bracket": ("measure", "cover", "conditioner"),
     "ergodic_check": ("measure", "family", "conditioner"),
     "factor_cond": ("measure", "factor", "cover"),
 }
+
+# the options each kind forwards when a task or a run override sets them;
+# the library's own defaults stand for the rest
+TASK_OPTIONS = {
+    "static": (),
+    "count": (),
+    "h_minus": ("n_max",),
+    "h_plus": ("n_max", "window", "budget"),
+    "h_top": ("n_max",),
+    "power_check": ("n_max", "tolerance"),
+    "factor_check": ("n_max", "tolerance"),
+    "variational": ("n_max", "starts", "max_iter", "tolerance"),
+    "minmax": ("n_max", "window", "budget", "tolerance"),
+    "bracket": ("n_max", "windows", "tolerance"),
+    "ergodic_check": ("n_max", "tolerance"),
+    "factor_cond": ("n_max", "windows"),
+}
+
+
+def _integer(least):
+    return f"an integer >= {least}", lambda v: type(v) is int and v >= least
+
+
+def _list_of(what, holds):
+    return (f"a non-empty list of {what}",
+            lambda v: isinstance(v, list) and len(v) > 0 and all(map(holds, v)))
+
+
+_NAME = "a name", lambda v: isinstance(v, str)
+_OBJECTS = "an object of objects", lambda v: isinstance(v, dict) and all(
+    isinstance(d, dict) for d in v.values()
+)
+
+# what every key may hold: (the rule as the error states it, its test);
+# bools are not integers here, although Python counts them as such
+TASK_RULES = {
+    "kind": ("one of " + ", ".join(TASK_KINDS),
+             lambda v: isinstance(v, str) and v in TASK_KINDS),
+    "measure": _NAME,
+    "cover": _NAME,
+    "conditioner": _NAME,
+    "family": _NAME,
+    "factor": _NAME,
+    "measures": _list_of("names", _NAME[1]),
+    "M": _integer(1),
+    "n_max": _integer(2),
+    "window": _integer(1),
+    "windows": _list_of("integers >= 1", _integer(1)[1]),
+    "budget": _integer(0),
+    "starts": _integer(1),
+    "max_iter": _integer(1),
+    "tolerance": ("a finite number >= 0",
+                  lambda v: type(v) in (int, float) and 0 <= v < math.inf),
+}
+DOCUMENT_RULES = {
+    "seed": _integer(0),
+    "system": ("an object", lambda v: isinstance(v, dict)),
+    "measures": _OBJECTS,
+    "families": _OBJECTS,
+    "factor_maps": _OBJECTS,
+    "tasks": ("a list", lambda v: isinstance(v, list)),
+}
+
+# the document section that a task's name keys refer to
+_SECTIONS = {"measure": "measures", "cover": "families", "conditioner": "families",
+             "family": "families", "factor": "factor_maps"}
 
 
 class ConfigError(ValueError):
@@ -49,27 +124,57 @@ class ExperimentConfig:
     factor_maps: dict
     tasks: list[dict]
     seed: int = 0
+    overrides: dict = field(default_factory=dict)
 
-    def measure(self, name: str, task_index=None):
-        return _resolve(self.measures, name, "measure", task_index)
+    def arguments(self, i) -> list:
+        """Task i's keys of `TASK_KINDS`, names resolved, in call order."""
+        task = self.tasks[i]
+        return [self._resolve(key, task[key], i) for key in TASK_KINDS[task["kind"]]]
 
-    def family(self, name: str, task_index=None) -> families.SetFamily:
-        return _resolve(self.families, name, "family", task_index)
+    def options(self, i) -> dict:
+        """The options of task i that it or a run override sets."""
+        given = {**self.tasks[i], **self.overrides}
+        return {key: given[key] for key in TASK_OPTIONS[given["kind"]] if key in given}
 
-    def factor_map(self, name: str, task_index=None) -> systems.FactorMap:
-        return _resolve(self.factor_maps, name, "factor map", task_index)
+    def _resolve(self, key, value, i):
+        if key == "measures":
+            return [self._resolve("measure", name, i) for name in value]
+        if key not in _SECTIONS:
+            return value
+        table = getattr(self, _SECTIONS[key])
+        if value not in table:
+            raise ConfigError("NAME_UNRESOLVED", f"{key} {value!r} is not defined", i)
+        return table[value]
 
 
-def _resolve(table, name, what, task_index):
-    if name not in table:
-        raise ConfigError(
-            "NAME_UNRESOLVED", f"{what} {name!r} is not defined", task_index
-        )
-    return table[name]
+def _check_keys(obj, rules, where, i=None):
+    """Refuse a key without a rule, or a value its rule does not hold."""
+    for key, value in obj.items():
+        if key not in rules:
+            raise ConfigError("BAD_CONFIG", f"unknown {where}key {key!r}", i)
+        rule, holds = rules[key]
+        if not holds(value):
+            raise ConfigError(
+                "BAD_CONFIG", f"{where}{key} must be {rule}, not {value!r}", i
+            )
+
+
+@contextlib.contextmanager
+def _descriptor(what, code):
+    """Report a descriptor's missing key as BAD_CONFIG and the rejection of
+    the object it describes under `code`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as e:
+        raise ConfigError("BAD_CONFIG", f"{what} descriptor missing {e}") from e
+    except (ValueError, TypeError) as e:
+        raise ConfigError(code, str(e)) from e
 
 
 def _build_system(desc) -> systems.SymbolicSystem:
-    try:
+    with _descriptor("system", "INVALID_SYSTEM"):
         kind = desc["kind"]
         if kind == "full_shift":
             return systems.full_shift(int(desc["alphabet_size"]))
@@ -77,17 +182,11 @@ def _build_system(desc) -> systems.SymbolicSystem:
             return systems.sft(desc["transition"])
         if kind == "permutation":
             return systems.permutation(desc["mapping"])
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError("BAD_CONFIG", f"system descriptor missing {e}") from e
-    except (ValueError, TypeError) as e:
-        raise ConfigError("INVALID_SYSTEM", str(e)) from e
-    raise ConfigError("BAD_CONFIG", f"unknown system kind {desc.get('kind')!r}")
+    raise ConfigError("BAD_CONFIG", f"unknown system kind {kind!r}")
 
 
 def _build_measure(sys, desc):
-    try:
+    with _descriptor("measure", "INVALID_MEASURE"):
         kind = desc["kind"]
         if kind == "bernoulli":
             return measures.bernoulli(sys, desc["p"])
@@ -95,17 +194,11 @@ def _build_measure(sys, desc):
             return measures.markov(sys, desc["P"], desc.get("pi"))
         if kind == "cycles":
             return measures.cycle_measure(sys, desc["weights"])
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError("BAD_CONFIG", f"measure descriptor missing {e}") from e
-    except (ValueError, TypeError) as e:
-        raise ConfigError("INVALID_MEASURE", str(e)) from e
-    raise ConfigError("BAD_CONFIG", f"unknown measure kind {desc.get('kind')!r}")
+    raise ConfigError("BAD_CONFIG", f"unknown measure kind {kind!r}")
 
 
 def _build_family(sys, desc) -> families.SetFamily:
-    try:
+    with _descriptor("family", "INVALID_FAMILY"):
         kind = desc["kind"]
         elements = desc["elements"]
         if sys.is_word_system:
@@ -117,16 +210,10 @@ def _build_family(sys, desc) -> families.SetFamily:
             window = desc.get("window", lengths.pop())
             return families.family_of_words(sys, window, elements, kind)
         return families.family_of_points(sys, elements, kind)
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError("BAD_CONFIG", f"family descriptor missing {e}") from e
-    except (ValueError, TypeError) as e:
-        raise ConfigError("INVALID_FAMILY", str(e)) from e
 
 
 def _build_factor_map(sys, desc) -> systems.FactorMap:
-    try:
+    with _descriptor("factor map", "INVALID_SYSTEM"):
         codomain = _build_system(desc["codomain"])
         b = int(desc["block_length"])
         blocks = systems.word_universe(sys, b)
@@ -140,49 +227,34 @@ def _build_factor_map(sys, desc) -> systems.FactorMap:
                 )
             code.append(int(table[key]))
         return systems.FactorMap(sys, codomain, b, tuple(code))
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError("BAD_CONFIG", f"factor map descriptor missing {e}") from e
-    except (ValueError, TypeError) as e:
-        raise ConfigError("INVALID_SYSTEM", str(e)) from e
 
 
 def _check_task(task, i, sys):
     if not isinstance(task, dict):
         raise ConfigError("BAD_CONFIG", "a task must be an object", i)
+    _check_keys(task, TASK_RULES, "", i)
     kind = task.get("kind")
-    if kind not in TASK_KINDS:
-        raise ConfigError("BAD_CONFIG", f"unknown task kind {kind!r}", i)
-    missing = [key for key in TASK_KINDS[kind] if key not in task]
+    missing = [key for key in ("kind",) + TASK_KINDS.get(kind, ()) if key not in task]
     if missing:
-        raise ConfigError(
-            "BAD_CONFIG", f"{kind} task is missing {', '.join(missing)}", i
-        )
+        raise ConfigError("BAD_CONFIG", f"task is missing {', '.join(missing)}", i)
     if kind == "variational" and not sys.is_word_system:
         raise ConfigError("BAD_CONFIG", "variational needs a word system", i)
-    grid = task.get("measures")
-    if kind == "minmax" and not (isinstance(grid, list) and grid):
-        raise ConfigError("BAD_CONFIG", "minmax needs a non-empty measures list", i)
-    n_max = task.get("n_max")
-    if n_max is not None and (type(n_max) is not int or n_max < 2):
-        raise ConfigError(
-            "BAD_CONFIG", f"n_max must be an integer >= 2, not {n_max!r}", i
-        )
-    budget = task.get("budget")
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise ConfigError(
-            "BAD_CONFIG", f"budget must be an integer >= 0, not {budget!r}", i
-        )
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed=None, n_max=None, tolerance=None) -> ExperimentConfig:
+    """The checked document at `path`.  A `seed` that is given stands for the
+    document's, and an `n_max` or `tolerance` for every task's."""
+    _check_keys({} if seed is None else {"seed": seed}, DOCUMENT_RULES, "override ")
+    overrides = {key: v for key, v in (("n_max", n_max), ("tolerance", tolerance))
+                 if v is not None}
+    _check_keys(overrides, TASK_RULES, "override ")
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigError("BAD_CONFIG", f"cannot read config: {e}") from e
     if not isinstance(doc, dict) or "system" not in doc:
         raise ConfigError("BAD_CONFIG", "config must be an object with a system")
+    _check_keys(doc, DOCUMENT_RULES, "document ")
     sys = _build_system(doc["system"])
     meas = {
         name: _build_measure(sys, d) for name, d in doc.get("measures", {}).items()
@@ -193,18 +265,13 @@ def load_config(path) -> ExperimentConfig:
     }
     fams = {}
     for name, d in doc.get("families", {}).items():
-        carrier_sys = sys
-        on = d.get("on")
-        if on is not None:  # families may live on a factor map's codomain
-            if on not in maps:
-                raise ConfigError(
-                    "NAME_UNRESOLVED", f"family {name!r} refers to factor {on!r}"
-                )
-            carrier_sys = maps[on].codomain
-        fams[name] = _build_family(carrier_sys, d)
+        on = d.get("on")  # families may live on a factor map's codomain
+        if on is not None and not (isinstance(on, str) and on in maps):
+            raise ConfigError(
+                "NAME_UNRESOLVED", f"family {name!r} refers to factor {on!r}"
+            )
+        fams[name] = _build_family(sys if on is None else maps[on].codomain, d)
     tasks = doc.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise ConfigError("BAD_CONFIG", "tasks must be a list")
     for i, task in enumerate(tasks):
         _check_task(task, i, sys)
     return ExperimentConfig(
@@ -213,5 +280,6 @@ def load_config(path) -> ExperimentConfig:
         families=fams,
         factor_maps=maps,
         tasks=tasks,
-        seed=int(doc.get("seed", 0)),
+        seed=doc.get("seed", 0) if seed is None else seed,
+        overrides=overrides,
     )

@@ -321,28 +321,17 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
 # finer-partition constructions
 
 
-def ext_partitions(
-    U: SetFamily, within: Optional[int] = None
-) -> Iterator[SetFamily]:
+def ext_partitions(U: SetFamily) -> Iterator[SetFamily]:
     """Ordered-difference partitions {U_σ1, U_σ2 ∖ U_σ1, ...} over all
-    orderings σ of U, emitted lazily.
-
-    With `within` set, differences are taken inside that carrier subset and
-    the complement of `within` is appended as a final cell, so each output is
-    still a partition of the whole carrier.
-    """
-    size = U.universe_size
-    full = bitsets.full_mask(size)
-    base = full if within is None else within
+    orderings σ of U, emitted lazily."""
+    full = bitsets.full_mask(U.universe_size)
     for order in itertools.permutations(range(len(U))):
-        remaining = base
+        remaining = full
         cells = []
         for i in order:
             cell = U.elements[i] & remaining
             cells.append(cell)
             remaining &= ~cell
-        if within is not None:
-            cells.append(full & ~within)
         yield SetFamily(U.system, U.window, PARTITION, tuple(cells))
 
 

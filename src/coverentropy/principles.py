@@ -96,36 +96,21 @@ def pushforward(phi: FactorMap, mu: measures.InvariantMeasure):
         raise measures.MeasureError("measure does not live on the code's domain")
     if mu.kind != measures.MARKOV:
         raise measures.MeasureError("pushforward applies to Markov measures")
-    if phi.codomain.alphabet_size == 1:
-        return measures.InvariantMeasure(
-            measures.MARKOV, phi.codomain, pi=np.ones(1), P=np.ones((1, 1))
-        )
-    if not phi.is_injective:
-        return measures.PushforwardMeasure(phi, mu)
-    b = phi.block_length
-    blocks = systems.word_universe(phi.domain, b)
-    kc = phi.codomain.alphabet_size
-    pi = np.zeros(kc)
-    P = np.zeros((kc, kc))
-    block_mass = measures.weights_for(mu, phi.domain, b)
-    arr = blocks.array
-    for i in range(blocks.count):
-        a = phi.code[i]
-        pi[a] += block_mass[i]
-        last = int(arr[i, -1])
-        for x in range(phi.domain.alphabet_size):
-            if not phi.domain.transition[last][x]:
-                continue
-            p = float(mu.P[last, x])
-            if p == 0.0:
-                continue
-            nxt = blocks.index_of(tuple(arr[i, 1:]) + (x,))
-            P[a, phi.code[nxt]] += p
-    allowed = np.array(phi.codomain.transition, dtype=bool)
-    for s in range(kc):
-        if P[s].sum() == 0.0 and allowed[s].any():
-            P[s, allowed[s]] = 1.0 / allowed[s].sum()
-    return measures.InvariantMeasure(measures.MARKOV, phi.codomain, pi=pi, P=P)
+    image = measures.PushforwardMeasure(phi, mu)
+    cod = phi.codomain
+    if not (phi.is_injective or cod.alphabet_size == 1):
+        return image
+    # the image is Markov: P[a, c] = mu[ac] / mu[a] from its 1- and 2-words;
+    # a letter without mass moves uniformly, one without successors not at all
+    pi = measures.weights_for(image, cod, 1)
+    pairs = systems.word_universe(cod, 2).array.astype(np.intp)
+    P = np.zeros((cod.alphabet_size, cod.alphabet_size))
+    P[pairs[:, 0], pairs[:, 1]] = measures.weights_for(image, cod, 2)
+    seen = pi > 0
+    P[seen] /= pi[seen, None]
+    allowed = cod.transition_array()[~seen]
+    P[~seen] = allowed / np.maximum(allowed.sum(axis=1, keepdims=True), 1)
+    return measures.InvariantMeasure(measures.MARKOV, cod, pi=pi, P=P)
 
 
 def factor_invariance_check(

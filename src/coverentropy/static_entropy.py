@@ -337,7 +337,6 @@ def _minimize_component(
         mrest = float(w[rbool].sum())
         return max(h1, floor_fill(mrest, float(caps.max(initial=0.0))), phi(mrest))
 
-    total_mass = float(w.sum())
     start = 0
     heap = [(chord_bound(start), 0, 0.0, start, True)]
     best_g = {start: 0.0}

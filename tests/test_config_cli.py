@@ -245,6 +245,150 @@ def test_bad_budget_exits_2(tmp_path, capsys, budget):
     assert "BAD_CONFIG" in err and "task 0" in err and "budget" in err
 
 
+TASKS = {
+    "static": {"measure": "parry", "cover": "overlap", "conditioner": "letters"},
+    "count": {"cover": "overlap", "conditioner": "whole"},
+    "h_minus": {"measure": "parry", "cover": "letters", "conditioner": "whole"},
+    "h_plus": {"measure": "parry", "cover": "overlap", "conditioner": "letters"},
+    "h_top": {"cover": "letters", "conditioner": "whole"},
+    "power_check": {"measure": "parry", "cover": "letters", "conditioner": "whole",
+                    "M": 2},
+    "factor_check": {"factor": "identity", "measure": "parry", "cover": "letters",
+                     "conditioner": "whole"},
+    "variational": {"cover": "letters", "conditioner": "whole"},
+    "minmax": {"cover": "overlap", "conditioner": "whole",
+               "measures": ["parry", "lopsided"]},
+    "bracket": {"measure": "lopsided", "cover": "overlap", "conditioner": "letters"},
+    "ergodic_check": {"measure": "parry", "family": "letters",
+                      "conditioner": "whole"},
+    "factor_cond": {"measure": "lopsided", "factor": "identity", "cover": "overlap"},
+}
+
+
+def a_task(kind, **keys):
+    return {"kind": kind, **TASKS[kind], "n_max": 3, **keys}
+
+
+@pytest.mark.parametrize(
+    "task, key",
+    [
+        # a value of another type, which the library would meet only in use
+        (a_task("h_plus", window="x"), "window"),
+        (a_task("bracket", windows="ab"), "windows"),
+        (a_task("bracket", windows=3), "windows"),
+        (a_task("bracket", windows=[]), "windows"),
+        (a_task("bracket", tolerance="x"), "tolerance"),
+        (a_task("power_check", M="two"), "M"),
+        (a_task("variational", starts="two"), "starts"),
+        (a_task("static", cover=["overlap"]), "cover"),
+        (a_task("h_top", n_max=None), "n_max"),
+        # a number out of its key's range; a float M is not rounded
+        (a_task("power_check", M=2.7), "M"),
+        (a_task("power_check", M=0), "M"),
+        (a_task("ergodic_check", tolerance=-1), "tolerance"),
+        (a_task("bracket", tolerance=float("nan")), "tolerance"),
+        # a key without a rule, a missing kind and an unhashable one
+        (a_task("h_top", windw=2), "windw"),
+        ({"cover": "letters", "conditioner": "whole"}, "kind"),
+        (dict(a_task("h_top"), kind=["h_top"]), "kind"),
+    ],
+)
+def test_bad_task_key_exits_2(tmp_path, capsys, task, key):
+    path = write_config(tmp_path, [task])
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "BAD_CONFIG" in err and "task 0" in err and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"measures": []}, "measures"),
+        ({"families": {"letters": "0 1"}}, "families"),
+        ({"tasks": {}}, "tasks"),
+        ({"comment": "x"}, "comment"),
+    ],
+)
+def test_bad_document_key_exits_2(tmp_path, capsys, overrides, key):
+    path = write_config(tmp_path, **{"tasks": [a_task("h_top")], **overrides})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "BAD_CONFIG" in err and "document" in err and key in err
+    assert "task 0" not in err
+
+
+@pytest.mark.parametrize("flag", [["--n-max", "1"], ["--tolerance", "-0.5"],
+                                  ["--tolerance", "nan"], ["--seed", "-1"]])
+def test_bad_override_exits_2(tmp_path, capsys, flag):
+    path = write_config(tmp_path, [a_task("ergodic_check")])
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
+                     *flag]) == 2
+    assert "BAD_CONFIG" in capsys.readouterr().err
+
+
+# a valid value for every option, different from each library default
+SET_OPTIONS = {"n_max": 4, "window": 2, "windows": [2], "budget": 500,
+               "tolerance": 0.5, "starts": 1, "max_iter": 5}
+
+
+@pytest.mark.parametrize("kind", list(config.TASK_KINDS))
+def test_every_option_set_runs(tmp_path, kind):
+    options = {key: SET_OPTIONS[key] for key in config.TASK_OPTIONS[kind]}
+    path = write_config(tmp_path, [{"kind": kind, **TASKS[kind], **options}])
+    out = tmp_path / "out"
+    assert cli.run(path, out) == 0
+    (row,) = csv.DictReader(open(out / "summary.csv"))
+    if "n_max" in options:
+        assert row["n_max"] == "4"
+    if "tolerance" in options:
+        assert row["tolerance"] == "0.5"
+
+
+def test_minmax_budget_reaches_the_enumeration(tmp_path):
+    # two finer partitions at window 2: a budget of one refuses them, and the
+    # check falls back to the ordered-difference partitions
+    task = a_task("minmax", window=2, budget=1)
+    path = write_config(tmp_path, [task])
+    out = tmp_path / "out"
+    assert cli.run(path, out) == 0
+    rep = json.loads((out / "task_00_minmax.json").read_text())
+    assert rep["details"]["used_ext_fallback"] is True
+
+
+def readme_tables():
+    """Each table of the README, by its first header cell, as rows of cells
+    with the backquotes taken off."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables, rows = {}, None
+    for line in readme.splitlines():
+        cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
+        if not line.startswith("|"):
+            rows = None
+        elif rows is None:
+            rows = tables[cells[0]] = []
+        elif cells[0].strip("-"):
+            rows.append(cells)
+    return tables
+
+
+def test_readme_tables_match_config():
+    tables = readme_tables()
+
+    def names(cell):
+        return tuple(n.strip() for n in cell.split(",")) if cell != "—" else ()
+
+    assert {row[0]: (names(row[1]), names(row[2])) for row in tables["kind"]} == {
+        kind: (keys, config.TASK_OPTIONS[kind])
+        for kind, keys in config.TASK_KINDS.items()
+    }
+    for header, rules in (("task key", config.TASK_RULES),
+                          ("document key", config.DOCUMENT_RULES)):
+        assert dict(tables[header]) == {key: rule for key, (rule, _) in rules.items()}
+
+
 @pytest.mark.parametrize(
     "kind", [k for k, keys in config.TASK_KINDS.items() if "conditioner" in keys]
 )

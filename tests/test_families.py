@@ -135,13 +135,6 @@ def test_ext_partitions_single_element(three_points):
     assert len(outs) == 1 and masks_of(outs[0]) == [[0, 1, 2]]
 
 
-def test_ext_partitions_within_restriction(three_points, overlap_cover):
-    outs = list(ce.ext_partitions(overlap_cover, within=0b011))
-    for fam in outs:
-        assert fam.kind == "partition"
-        assert fam.elements[-1] == 0b100  # complement cell
-
-
 def test_ustar_enumerate_example(three_points, overlap_cover):
     enum = ce.ustar_enumerate(overlap_cover)
     assert enum.total == 2 and not enum.refused
