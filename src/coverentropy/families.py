@@ -16,6 +16,16 @@ arrays gives the cells of the join without building it as a family, and a
 partition computed on the fly, such as the glued minimizer of a cover, or
 every assignment of the finer-partition enumeration at once (route C), is
 written as labels and never validated as a `SetFamily`.
+
+Partitions are joined the same way.  `join` pairs the labels of its two
+partitions, and `dynamical_join` gives each word of the longer window one
+code of the labels read at every offset; the words that share a code form a
+cell.  One helper, `_partition_from_codes`, turns codes into a partition:
+it builds each mask once and seeds the new family's labels and incidence,
+so neither is unpacked from masks just packed.  Covers, and dynamical joins
+on point carriers, keep the pairwise mask product: point carriers are small
+(at most a few dozen points), and on them the numpy calls of the label path
+cost two to three times the product (see `dynamical_join`).
 """
 
 from __future__ import annotations
@@ -215,6 +225,36 @@ def join_with_indices(U: SetFamily, V: SetFamily) -> list[tuple[tuple[int, int],
     return out
 
 
+def _partition_from_codes(system, window, codes: np.ndarray) -> SetFamily:
+    """The partition whose cells are the carrier words that share a code.
+
+    Cells are ordered by (size, least word) with one lexsort: cells are
+    disjoint, so no two tie on both and this is `_canonical_order`.  Each
+    mask is built once, and the labels and incidence that `partition_labels`
+    and `incidence()` would unpack from those masks are seeded into the new
+    family's cache."""
+    _, first, cell, sizes = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.lexsort((first, sizes))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    labels = rank[cell]
+    words = np.argsort(labels, kind="stable")  # by cell, then by word
+    flat = words.tolist()
+    ends = np.cumsum(sizes[order]).tolist()
+    masks = tuple(
+        bitsets.mask_from_indices(flat[lo:hi]) for lo, hi in zip([0] + ends, ends)
+    )
+    fam = SetFamily(system, window, PARTITION, masks)
+    inc = (labels[words].astype(np.int32), words.astype(np.int32))
+    for arr in inc:
+        arr.flags.writeable = False
+    fam._cache["labels"] = labels
+    fam._cache["incidence"] = inc
+    return fam
+
+
 def join(U: SetFamily, V: SetFamily) -> SetFamily:
     """U ∨ V: nonempty pairwise intersections, duplicates merged, elements in
     canonical order.  A partition whenever both inputs are."""
@@ -222,14 +262,7 @@ def join(U: SetFamily, V: SetFamily) -> SetFamily:
         # label pairing keeps partition joins linear in the carrier size
         _require_same_carrier(U, V)
         codes = partition_labels(U) * len(V) + partition_labels(V)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        cuts = np.nonzero(np.diff(sorted_codes))[0] + 1
-        groups = np.split(order, cuts)
-        masks = _canonical_order(
-            bitsets.mask_from_indices(g) for g in groups
-        )
-        return SetFamily(U.system, U.window, PARTITION, masks)
+        return _partition_from_codes(U.system, U.window, codes)
     pairs = join_with_indices(U, V)
     masks = _merge_masks(m for _, m in pairs)
     return SetFamily(U.system, U.window, COVER, masks)
@@ -285,12 +318,46 @@ def _position_membership(U: SetFamily, offsets, new_window) -> list[list[int]]:
     return out
 
 
+_CODE_LIMIT = 2**62  # label codes are re-ranked before they could pass this
+
+
+def _window_codes(U: SetFamily, new_window: int) -> np.ndarray:
+    """For each word of the new_window universe, one int64 code of the labels
+    of U read at every offset, the first offset most significant.  Codes are
+    re-ranked to 0..distinct-1 only when the next multiplication could pass
+    `_CODE_LIMIT`; equal codes mean equal label sequences either way."""
+    L, n = U.window, len(U)
+    target = systems.word_universe(U.system, new_window)
+    base = systems.word_universe(U.system, L)
+    lab = partition_labels(U)
+    codes = np.zeros(target.count, dtype=np.int64)
+    bound = 1  # every code is below this
+    for off in range(new_window - L + 1):
+        if bound * n > _CODE_LIMIT:
+            distinct, codes = np.unique(codes, return_inverse=True)
+            bound = len(distinct)
+        codes = codes * n + lab[base.indices_of_rows(target.array[:, off : off + L])]
+        bound *= n
+    return codes
+
+
 def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
     """⋁_{n=M}^{N} T^{-n} U.
 
     Word carriers return the family read from coordinate M, i.e. at window
     (N - M) + L; point carriers apply the permutation preimages literally.
     Empty intersections are dropped and duplicates merged as in `join`.
+
+    A partition over a word carrier is joined by label pairing: every target
+    word gets one code of its labels at the N - M + 1 offsets, and the words
+    sharing a code form a cell (`_partition_from_codes`, which also seeds the
+    result's labels and incidence).  Covers, and every family on a point
+    carrier, take the mask product over `_position_membership`.  Point
+    carriers hold at most a few dozen points, where the fixed cost of the
+    label path's numpy calls exceeds the whole mask product: for
+    `dynamical_join(beta, 1, 1)` on carriers of 4 to 10 points, the label
+    path took 33-37 us against 11-22 us (2-core x86-64 VM, Python 3.11,
+    numpy 2.4).
     """
     if M < 0 or M > N:
         raise FamilyError("need 0 <= M <= N")
@@ -298,6 +365,9 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
         if M == N:
             return U
         new_window = (N - M) + U.window
+        if U.kind == PARTITION:
+            codes = _window_codes(U, new_window)
+            return _partition_from_codes(U.system, new_window, codes)
         memberships = _position_membership(U, range(N - M + 1), new_window)
     else:
         if M == N == 0:

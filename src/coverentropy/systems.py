@@ -1,10 +1,13 @@
 """Symbolic dynamical systems: full shifts, subshifts of finite type, and
 finite permutations, with a uniform word-enumeration interface.
 
-Words are tuples of letters 0..k-1.  All admissible words of a given length
-are enumerated once per (system, length) in lexicographic order and cached;
-that enumeration order is the universe order every bitmask in the package
-refers to.
+Words are tuples of letters 0..k-1, and a word with any other letter is
+rejected.  All admissible words of a given length are enumerated once per
+(system, length) in lexicographic order and cached; that enumeration order is
+the universe order every bitmask in the package refers to.  The length-n
+universe is the cached length-(n-1) universe with one letter appended: each
+word is followed by the letters its last letter may go to, in ascending
+order, so the order stays lexicographic and no word is rebuilt from length 1.
 """
 
 from __future__ import annotations
@@ -126,8 +129,11 @@ class WordUniverse:
             raise SystemError(f"word {word} does not have length {self.length}")
         code = 0
         k = self.system.alphabet_size
-        for letter in word:
-            code = code * k + int(letter)
+        for letter in map(int, word):
+            # a letter outside the alphabet would carry into another word's code
+            if not 0 <= letter < k:
+                raise SystemError(f"word {word} has a letter outside 0..{k - 1}")
+            code = code * k + letter
         idx = int(np.searchsorted(self.codes, code))
         if idx == self.count or self.codes[idx] != code:
             raise SystemError(f"word {word} is not admissible")
@@ -159,13 +165,16 @@ def word_universe(sys: SymbolicSystem, n: int) -> WordUniverse:
     k = sys.alphabet_size
     if k**n >= 2**63:
         raise SystemError(f"{k}**{n} radix codes do not fit in int64")
-    t = sys.transition_array()
-    words = [(a,) for a in range(k)]
-    for _ in range(n - 1):
-        words = [w + (b,) for w in words for b in range(k) if t[w[-1], b]]
-    arr = np.array(words, dtype=letter_dtype(k)).reshape(len(words), n)
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return WordUniverse(sys, n, arr, arr.astype(np.int64) @ powers)
+    if n == 1:
+        arr = np.arange(k, dtype=letter_dtype(k))[:, None]
+        return WordUniverse(sys, 1, arr, np.arange(k, dtype=np.int64))
+    # nonzero walks rows in order and each row's letters in order, so the
+    # extended words stay in lexicographic order
+    prev = word_universe(sys, n - 1)
+    rows, letters = np.nonzero(sys.transition_array()[prev.array[:, -1]])
+    last = letters.astype(prev.array.dtype)[:, None]
+    arr = np.concatenate([prev.array[rows], last], axis=1)
+    return WordUniverse(sys, n, arr, prev.codes[rows] * k + letters)
 
 
 def admissible_words(sys: SymbolicSystem, n: int) -> list[tuple[int, ...]]:

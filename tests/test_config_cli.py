@@ -404,6 +404,16 @@ def test_cover_as_conditioner_exits_2(tmp_path, capsys, kind):
     assert "task 0 input error" in err and "partition" in err
 
 
+def test_letter_outside_the_alphabet_exits_2(tmp_path, capsys):
+    # on the 2-letter golden mean, "02" used to be read as the word 10
+    fams = dict(BASE_CONFIG["families"],
+                bad={"kind": "cover", "elements": [["02"], ["00", "01", "10"]]})
+    path = write_config(tmp_path, [], families=fams)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "INVALID_FAMILY" in err and "outside" in err
+
+
 def test_route_disagreement_still_exits_1(tmp_path, capsys, monkeypatch):
     # a RouteDisagreement is an EntropyError, but it stays an identity
     # violation: exit 1 and a FAILED row in the summary

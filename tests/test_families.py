@@ -350,6 +350,71 @@ def test_partition_labels_match_per_mask_definition(labels):
     assert families.partition_labels(fam).tolist() == expected.tolist()
 
 
+def mask_product_join(U, M, N):
+    """⋁_{n=M}^{N} T^{-n} U on a word carrier as the pairwise product of the
+    element masks at every offset: the path covers take."""
+    window = (N - M) + U.window
+    memberships = families._position_membership(U, range(N - M + 1), window)
+    live = memberships[0]
+    for pos in memberships[1:]:
+        live = [c & m for c in live for m in pos if c & m]
+    return window, families._merge_masks(live)
+
+
+def assert_seeded_caches_match_fresh(J):
+    fresh = families.SetFamily(J.system, J.window, J.kind, J.elements)
+    for got, want in ((families.partition_labels(J), families.partition_labels(fresh)),
+                      *zip(J.incidence(), fresh.incidence())):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def word_partitions(draw):
+    """A random partition of a word carrier at window 1 or 2, with a second
+    one on the same carrier and a join range M < N <= 4."""
+    sys = draw(st.sampled_from([ce.full_shift(2), ce.golden_mean(), ce.full_shift(3)]))
+    window = draw(st.integers(1, 2))
+    size = ce.systems.word_universe(sys, window).count
+
+    def partition():
+        labels = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        cells = [[x for x in range(size) if labels[x] == c] for c in sorted(set(labels))]
+        masks = tuple(bitsets.mask_from_indices(c) for c in cells)
+        return families.SetFamily(sys, window, "partition", masks)
+
+    N = draw(st.integers(1, 4))
+    return partition(), partition(), draw(st.integers(0, N - 1)), N
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_partitions())
+def test_label_joins_equal_the_mask_product(case):
+    U, V, M, N = case
+    J = ce.dynamical_join(U, M, N)
+    assert (J.window, J.elements) == mask_product_join(U, M, N)
+    assert_seeded_caches_match_fresh(J)
+    P = ce.join(U, V)
+    assert P.elements == families._merge_masks(u & v for u in U.elements for v in V.elements)
+    assert_seeded_caches_match_fresh(P)
+
+
+def test_dynamical_join_reranks_codes_before_they_overflow(gm, monkeypatch):
+    # 144 cells at 9 offsets: 144**9 > 2**62, so the codes are re-ranked once
+    ranks = []
+    unique = np.unique
+
+    def spy(codes, **kwargs):
+        if kwargs == {"return_inverse": True}:
+            ranks.append(len(codes))
+        return unique(codes, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    J = ce.dynamical_join(ce.cylinder_partition(gm, 10), 0, 8)
+    assert len(ranks) == 1
+    assert J.elements == ce.cylinder_partition(gm, 18).elements
+
+
 def test_partition_invariant_enforced(three_points):
     sys, _ = three_points
     with pytest.raises(families.FamilyError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -76,6 +77,54 @@ def test_index_of_rejects_words_of_another_length(full2):
             uni.index_of(word)
     with pytest.raises(systems.SystemError):
         ce.family_of_words(full2, 2, [["1"], ["00", "01", "10", "11"]], "cover")
+
+
+def test_index_of_rejects_letters_outside_the_alphabet(full2, gm):
+    # a letter outside 0..k-1 carries into the radix code of another word:
+    # (0, 2) and (1, -1) have the codes of 10 and 01
+    with pytest.raises(systems.SystemError):
+        ce.family_of_words(full2, 2, [["02"], ["00", "01", "10", "11"]], "cover")
+    with pytest.raises(systems.SystemError):
+        systems.word_universe(full2, 2).index_of((1, -1))
+    with pytest.raises(systems.SystemError):
+        systems.word_universe(gm, 2).index_of((0, 2))
+
+
+def brute_force_universe(sys, n):
+    t = sys.transition_array()
+    k = sys.alphabet_size
+    words = [w for w in itertools.product(range(k), repeat=n)
+             if all(t[a, b] for a, b in zip(w, w[1:]))]
+    arr = np.array(words, dtype=systems.letter_dtype(k)).reshape(len(words), n)
+    return arr, arr.astype(np.int64) @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [ce.full_shift(1), ce.full_shift(2), ce.full_shift(3), ce.golden_mean(),
+     ce.sft([[1, 1], [0, 0]])],  # the last has a dead-end letter
+    ids=["full1", "full2", "full3", "golden", "dead_end"],
+)
+def test_word_universe_matches_brute_force(sys):
+    for n in range(1, 9):
+        uni = systems.word_universe(sys, n)
+        arr, codes = brute_force_universe(sys, n)
+        assert uni.array.dtype == arr.dtype and uni.codes.dtype == codes.dtype
+        assert uni.array.shape == arr.shape
+        assert uni.array.tobytes() == arr.tobytes()
+        assert uni.codes.tobytes() == codes.tobytes()
+
+
+def test_word_universe_refuses_wide_codes_before_building_shorter_words(full2):
+    # the length check runs before the universe one letter shorter is built
+    cached = systems.word_universe.cache_info().currsize
+    cyc = ce.sft([[int(b == (a + 1) % 101) for b in range(101)] for a in range(101)])
+    with pytest.raises(systems.SystemError):
+        systems.word_universe(cyc, 10)  # 101**10 >= 2**63
+    assert systems.word_universe.cache_info().currsize == cached
+    with pytest.raises(systems.SystemError):
+        systems.word_universe(full2, 63)
+    assert systems.word_universe.cache_info().currsize == cached
 
 
 def test_word_closure(gm):
