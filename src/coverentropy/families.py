@@ -23,9 +23,9 @@ code of the labels read at every offset; the words that share a code form a
 cell.  One helper, `_partition_from_codes`, turns codes into a partition:
 it builds each mask once and seeds the new family's labels and incidence,
 so neither is unpacked from masks just packed.  Covers, and dynamical joins
-on point carriers, keep the pairwise mask product: point carriers are small
-(at most a few dozen points), and on them the numpy calls of the label path
-cost two to three times the product (see `dynamical_join`).
+on point carriers, keep the pairwise mask product: on the small point
+carriers in use, the numpy calls of the label path cost two to three times
+the product (see `dynamical_join`).
 """
 
 from __future__ import annotations
@@ -353,11 +353,11 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
     sharing a code form a cell (`_partition_from_codes`, which also seeds the
     result's labels and incidence).  Covers, and every family on a point
     carrier, take the mask product over `_position_membership`.  Point
-    carriers hold at most a few dozen points, where the fixed cost of the
-    label path's numpy calls exceeds the whole mask product: for
-    `dynamical_join(beta, 1, 1)` on carriers of 4 to 10 points, the label
-    path took 33-37 us against 11-22 us (2-core x86-64 VM, Python 3.11,
-    numpy 2.4).
+    carriers are small (the property suites draw at most 10 points), and
+    there the fixed cost of the label path's numpy calls exceeds the whole
+    mask product: for `dynamical_join(beta, 1, 1)` on 4 to 10 points the
+    label path took 33-37 us against 11-22 us (2-core x86-64 VM, Python
+    3.11, numpy 2.4).
     """
     if M < 0 or M > N:
         raise FamilyError("need 0 <= M <= N")

@@ -165,11 +165,14 @@ def word_universe(sys: SymbolicSystem, n: int) -> WordUniverse:
     k = sys.alphabet_size
     if k**n >= 2**63:
         raise SystemError(f"{k}**{n} radix codes do not fit in int64")
+    if k == 1:  # one word at every length, and no bound on n from k**n
+        return WordUniverse(sys, n, np.zeros((1, n), letter_dtype(1)), np.zeros(1, np.int64))
     if n == 1:
         arr = np.arange(k, dtype=letter_dtype(k))[:, None]
         return WordUniverse(sys, 1, arr, np.arange(k, dtype=np.int64))
-    # nonzero walks rows in order and each row's letters in order, so the
-    # extended words stay in lexicographic order
+    # the check above keeps n <= 62, so this recursion stays shallow; nonzero
+    # walks rows in order and each row's letters in order, so the extended
+    # words stay in lexicographic order
     prev = word_universe(sys, n - 1)
     rows, letters = np.nonzero(sys.transition_array()[prev.array[:, -1]])
     last = letters.astype(prev.array.dtype)[:, None]

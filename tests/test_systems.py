@@ -115,6 +115,13 @@ def test_word_universe_matches_brute_force(sys):
         assert uni.codes.tobytes() == codes.tobytes()
 
 
+def test_single_letter_universe_at_any_length():
+    # 1**n never overflows, so n is unbounded; one word of zeros at any length
+    uni = systems.word_universe(ce.full_shift(1), 5000)
+    assert uni.array.shape == (1, 5000) and not uni.array.any()
+    assert uni.codes.tolist() == [0] and uni.index_of((0,) * 5000) == 0
+
+
 def test_word_universe_refuses_wide_codes_before_building_shorter_words(full2):
     # the length check runs before the universe one letter shorter is built
     cached = systems.word_universe.cache_info().currsize
