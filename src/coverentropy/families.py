@@ -26,6 +26,16 @@ so neither is unpacked from masks just packed.  Covers, and dynamical joins
 on point carriers, keep the pairwise mask product: on the small point
 carriers in use, the numpy calls of the label path cost two to three times
 the product (see `dynamical_join`).
+
+A rate loop needs U^N = ⋁_{n<N} T^{-n}U at every N in turn, and `join_step`
+builds U^N from U^{N-1} with O(1) new work per window: a partition's code of
+a word is its prefix's label in U^{N-1} (the prefix rows come with the word
+universe) paired with U's label of its last letters, one row lookup per
+window where `dynamical_join` makes N; covers and point carriers take the
+mask product of U^{N-1} with the single new offset.  A one-element family
+{X} joins to {X} at the new window in either function, with no lookup and
+no mask built from indices.  Both give the same elements, labels and
+incidence.
 """
 
 from __future__ import annotations
@@ -347,6 +357,7 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
     Word carriers return the family read from coordinate M, i.e. at window
     (N - M) + L; point carriers apply the permutation preimages literally.
     Empty intersections are dropped and duplicates merged as in `join`.
+    A one-element family {X} joins to {X} at the new window (`_whole`).
 
     A partition over a word carrier is joined by label pairing: every target
     word gets one code of its labels at the N - M + 1 offsets, and the words
@@ -358,6 +369,9 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
     mask product: for `dynamical_join(beta, 1, 1)` on 4 to 10 points the
     label path took 33-37 us against 11-22 us (2-core x86-64 VM, Python
     3.11, numpy 2.4).
+
+    This builds the join in one shot, with N - M + 1 offset lookups; a loop
+    over N builds each window from the one before with `join_step`.
     """
     if M < 0 or M > N:
         raise FamilyError("need 0 <= M <= N")
@@ -365,12 +379,14 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
         if M == N:
             return U
         new_window = (N - M) + U.window
+        if len(U) == 1:
+            return _whole(U.system, new_window, U.kind)
         if U.kind == PARTITION:
             codes = _window_codes(U, new_window)
             return _partition_from_codes(U.system, new_window, codes)
         memberships = _position_membership(U, range(N - M + 1), new_window)
     else:
-        if M == N == 0:
+        if M == N == 0 or len(U) == 1:  # {X} is its own preimage
             return U
         memberships = _position_membership(U, range(M, N + 1), None)
         new_window = None
@@ -385,6 +401,56 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
         live = nxt
     masks = _merge_masks(live)
     return SetFamily(U.system, new_window, U.kind, masks)
+
+
+def join_step(U: SetFamily, J: SetFamily, n: int) -> SetFamily:
+    """⋁_{i=0}^{n} T^{-i} U from J = ⋁_{i=0}^{n-1} T^{-i} U, for n >= 1:
+    `dynamical_join(U, 0, n)` from `dynamical_join(U, 0, n - 1)`, with the
+    same elements, labels and incidence.
+
+    On a word carrier every word of the new window is a word of J's window
+    with one letter appended, and its prefix's index is the universe's
+    `prefix` row.  A partition codes each word by J's label of its prefix
+    and U's label of its last U.window letters, so one offset lookup serves
+    the window; the codes stay below len(J) * len(U) and need no re-ranking.
+    A cover extends J's masks by one letter and takes their product with U
+    at offset n; a point carrier takes J as it is.  Empty intersections are
+    dropped and duplicates merged, as in `dynamical_join`, and the product
+    over every offset has the same distinct masks as this one."""
+    if not U.system.is_word_system:
+        if len(U) == 1:
+            return U
+        prefix_masks, window = J.elements, None
+        last = _position_membership(U, [n], None)[0]
+    else:
+        window = J.window + 1
+        if len(U) == 1:
+            return _whole(U.system, window, U.kind)
+        target = systems.word_universe(U.system, window)
+        if U.kind == PARTITION:
+            base = systems.word_universe(U.system, U.window)
+            suffix = base.indices_of_rows(target.array[:, -U.window :])
+            codes = partition_labels(J)[target.prefix] * len(U) + partition_labels(U)[suffix]
+            return _partition_from_codes(U.system, window, codes)
+        size = J.universe_size
+        prefix_masks = [bitsets.preimage(m, size, target.prefix) for m in J.elements]
+        last = view_in_window(U, n, window).elements
+    masks = _merge_masks(c & m for c in prefix_masks for m in last)
+    return SetFamily(U.system, window, U.kind, masks)
+
+
+def _whole(system, window, kind) -> SetFamily:
+    """The one-element family {X} of this kind on a word carrier, with the
+    incidence (and a partition's labels) that would be unpacked from it."""
+    size = systems.word_universe(system, window).count
+    fam = SetFamily(system, window, kind, (bitsets.full_mask(size),))
+    inc = (np.zeros(size, dtype=np.int32), np.arange(size, dtype=np.int32))
+    for arr in inc:
+        arr.flags.writeable = False
+    fam._cache["incidence"] = inc
+    if kind == PARTITION:
+        fam._cache["labels"] = np.zeros(size, dtype=np.int64)
+    return fam
 
 
 # ---------------------------------------------------------------------------

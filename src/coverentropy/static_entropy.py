@@ -2,9 +2,10 @@
 
 Shannon entropy of weight vectors, conditional entropy of partitions by two
 independent routes, the conditional covering number N(U|beta) by exact set
-cover, and the cover entropies H(U) / H(U|beta) via exact minimization over
-ordered-difference partitions, cross-checked against the exhaustive
-finer-partition minimum whenever that enumeration is affordable.
+cover (by counting labels when U is a partition), and the cover entropies
+H(U) / H(U|beta) via exact minimization over ordered-difference partitions,
+cross-checked against the exhaustive finer-partition minimum whenever that
+enumeration is affordable.
 
 A partition enters every entropy formula here as one label per word, never
 as masks: `conditional_entropy` passes the cached `families.partition_labels`,
@@ -229,10 +230,21 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
 
 def covering_number(U: SetFamily, beta: SetFamily) -> int:
     """N(U|beta): max over nonempty atoms B of the minimal number of
-    U-elements needed to cover B.  Always >= 1; equals 1 iff beta refines U."""
+    U-elements needed to cover B.  Always >= 1; equals 1 iff beta refines U.
+
+    When U is a partition this is the largest number of distinct U-labels
+    in one atom, from one `np.unique` of the label pairs: the cells are
+    disjoint, so each cell that meets an atom is needed to cover it.  A
+    cover goes to the exact set cover of `_min_cover_size`, atom by atom."""
     if beta.kind != PARTITION:
         raise EntropyError("conditioner must be a partition")
     families._require_same_carrier(U, beta)
+    if U.kind == PARTITION:
+        n = len(U)
+        pairs = np.unique(
+            families.partition_labels(beta) * n + families.partition_labels(U)
+        )
+        return int(np.bincount(pairs // n).max())
     # each atom is handed only the elements that meet it; every nonempty atom
     # is met because U covers the carrier
     elems, words = U.incidence()

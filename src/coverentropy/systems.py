@@ -8,6 +8,8 @@ the universe order every bitmask in the package refers to.  The length-n
 universe is the cached length-(n-1) universe with one letter appended: each
 word is followed by the letters its last letter may go to, in ascending
 order, so the order stays lexicographic and no word is rebuilt from length 1.
+Each universe keeps, for every word, the index of its prefix one letter
+shorter, which `families` uses to extend a dynamical join by one window.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ class WordUniverse:
     length: int
     array: np.ndarray  # (count, length), unsigned, wide enough for k - 1
     codes: np.ndarray  # radix codes, most-significant letter first: ascending
+    # index of each word's (length-1)-prefix in the universe one letter
+    # shorter; None at length 1
+    prefix: Optional[np.ndarray] = None
 
     @property
     def count(self) -> int:
@@ -166,7 +171,10 @@ def word_universe(sys: SymbolicSystem, n: int) -> WordUniverse:
     if k**n >= 2**63:
         raise SystemError(f"{k}**{n} radix codes do not fit in int64")
     if k == 1:  # one word at every length, and no bound on n from k**n
-        return WordUniverse(sys, n, np.zeros((1, n), letter_dtype(1)), np.zeros(1, np.int64))
+        prefix = None if n == 1 else np.zeros(1, np.int64)
+        return WordUniverse(
+            sys, n, np.zeros((1, n), letter_dtype(1)), np.zeros(1, np.int64), prefix
+        )
     if n == 1:
         arr = np.arange(k, dtype=letter_dtype(k))[:, None]
         return WordUniverse(sys, 1, arr, np.arange(k, dtype=np.int64))
@@ -177,7 +185,7 @@ def word_universe(sys: SymbolicSystem, n: int) -> WordUniverse:
     rows, letters = np.nonzero(sys.transition_array()[prev.array[:, -1]])
     last = letters.astype(prev.array.dtype)[:, None]
     arr = np.concatenate([prev.array[rows], last], axis=1)
-    return WordUniverse(sys, n, arr, prev.codes[rows] * k + letters)
+    return WordUniverse(sys, n, arr, prev.codes[rows] * k + letters, rows)
 
 
 def admissible_words(sys: SymbolicSystem, n: int) -> list[tuple[int, ...]]:

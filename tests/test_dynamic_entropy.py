@@ -140,6 +140,25 @@ def test_covering_rate_zero_when_conditioner_refines(full2):
     assert est.running_inf == 0.0
 
 
+def test_rate_loop_makes_constant_lookups_per_window(full2, monkeypatch):
+    """Each window of a rate loop is built from the one before: at most two
+    offset lookups per window and family, where one-shot joins make N."""
+    calls = []
+    lookup = ce.systems.WordUniverse.indices_of_rows
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return lookup(self, rows)
+
+    monkeypatch.setattr(ce.systems.WordUniverse, "indices_of_rows", counted)
+    n_max = 8
+    est = ce.covering_rate(ce.cylinder_partition(full2, 1), ce.trivial_partition(full2, 1),
+                           n_max=n_max)
+    assert [e.value for e in est.entries] == pytest.approx(
+        [N * LOG2 for N in range(1, n_max + 1)], abs=1e-12)
+    assert len(calls) <= 2 * n_max * 2
+
+
 def test_refining_partition_rate_on_partition(gm, parry):
     alpha = ce.cylinder_partition(gm, 1)
     X = ce.trivial_partition(gm, 1)

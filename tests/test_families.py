@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverentropy as ce
-from coverentropy import bitsets, families, verify
+from coverentropy import bitsets, dynamic_entropy, families, verify
 
 
 def masks_of(fam):
@@ -363,8 +363,10 @@ def mask_product_join(U, M, N):
 
 def assert_seeded_caches_match_fresh(J):
     fresh = families.SetFamily(J.system, J.window, J.kind, J.elements)
-    for got, want in ((families.partition_labels(J), families.partition_labels(fresh)),
-                      *zip(J.incidence(), fresh.incidence())):
+    pairs = list(zip(J.incidence(), fresh.incidence()))
+    if J.kind == "partition":
+        pairs.append((families.partition_labels(J), families.partition_labels(fresh)))
+    for got, want in pairs:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -413,6 +415,73 @@ def test_dynamical_join_reranks_codes_before_they_overflow(gm, monkeypatch):
     J = ce.dynamical_join(ce.cylinder_partition(gm, 10), 0, 8)
     assert len(ranks) == 1
     assert J.elements == ce.cylinder_partition(gm, 18).elements
+
+
+@st.composite
+def step_join_cases(draw):
+    """A family U (a partition, possibly with an empty cell, or a cover of at
+    most four elements) and a partition beta, possibly {X}, on one carrier:
+    a word system at window 1 or 2, or a permutation of 2 to 8 points."""
+    sys = draw(st.sampled_from([
+        ce.full_shift(2), ce.full_shift(3), ce.golden_mean(), ce.sft([[1, 1], [0, 0]]),
+        None,
+    ]))
+    if sys is None:
+        n = draw(st.integers(2, 8))
+        sys, window, size = ce.permutation(draw(st.permutations(range(n)))), None, n
+    else:
+        # covers of the 3-shift stay at window 1, where their product is small
+        top = 2 if sys.alphabet_size == 2 else 1
+        window = draw(st.integers(1, top))
+        size = ce.systems.word_universe(sys, window).count
+
+    def labels(most):
+        return draw(st.lists(st.integers(0, most - 1), min_size=size, max_size=size))
+
+    def partition(lab, empty_cell):
+        cells = [[x for x in range(size) if lab[x] == c] for c in sorted(set(lab))]
+        cells += [[]] * empty_cell
+        return families.SetFamily(sys, window, "partition",
+                                  tuple(bitsets.mask_from_indices(c) for c in cells))
+
+    if draw(st.booleans()):
+        U = partition(labels(size), draw(st.booleans()))
+    else:
+        lab = labels(min(size, 4))
+        extra = draw(st.lists(st.sets(st.integers(0, size - 1)), min_size=max(lab) + 1,
+                              max_size=max(lab) + 1))
+        masks = [bitsets.mask_from_indices({x for x in range(size) if lab[x] == c} | more)
+                 for c, more in enumerate(extra)]
+        U = families.SetFamily(sys, window, "cover", tuple(m for m in masks if m))
+    beta = ce.trivial_partition(sys, window) if draw(st.booleans()) else (
+        partition(labels(size), False))
+    return U, beta
+
+
+@settings(max_examples=120, deadline=None)
+@given(step_join_cases())
+def test_step_built_joins_equal_the_one_shot_join(case):
+    U, beta = case
+    for N in range(1, 7):
+        uj, bj = dynamic_entropy._joined_pair(U, beta, N)
+        for got, F in ((uj, U), (bj, beta)):
+            want = ce.dynamical_join(F, 0, N - 1)
+            assert (got.window, got.kind, got.elements) == (want.window, want.kind, want.elements)
+            assert_seeded_caches_match_fresh(got)
+            assert_seeded_caches_match_fresh(want)
+
+
+def test_one_element_families_join_to_one_element(gm, three_points):
+    for kind in ("partition", "cover"):
+        X = families.SetFamily(gm, 2, kind, (bitsets.full_mask(3),))
+        J = ce.dynamical_join(X, 1, 4)
+        assert (J.window, J.kind, J.elements) == (5, kind, (bitsets.full_mask(13),))
+        assert_seeded_caches_match_fresh(J)
+        assert families.join_step(X, ce.dynamical_join(X, 0, 2), 3).elements == (
+            ce.dynamical_join(X, 0, 3).elements)
+    X = ce.trivial_partition(three_points[0])
+    assert ce.dynamical_join(X, 2, 5) is X
+    assert families.join_step(X, X, 1) is X
 
 
 def test_partition_invariant_enforced(three_points):

@@ -125,6 +125,56 @@ def test_covering_number_of_partition_is_largest_cell_count():
         assert ce.covering_number(U, U) == 1
 
 
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of 1 to 10 points by label lists; U may hold an empty
+    cell."""
+    n = draw(st.integers(1, 10))
+    sys = ce.permutation(draw(st.permutations(range(n))))
+
+    def cells(most):
+        lab = draw(st.lists(st.integers(0, most - 1), min_size=n, max_size=n))
+        return [[x for x in range(n) if lab[x] == c] for c in sorted(set(lab))]
+
+    U = ce.family_of_points(sys, cells(n) + [[]] * draw(st.integers(0, 1)), "partition")
+    return U, ce.family_of_points(sys, cells(n), "partition")
+
+
+def as_cover(U):
+    return families.SetFamily(U.system, U.window, "cover", U.elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_pairs())
+def test_partition_covering_number_counts_labels(case):
+    """The label count of a partition pair equals the exact set cover of the
+    same masks as a cover and the subset-enumeration oracle, for beta, for
+    {X} and for the singletons, which refine U."""
+    U, beta = case
+    sys, n = U.system, U.system.point_count
+    singles = ce.family_of_points(sys, [[x] for x in range(n)], "partition")
+    for b in (beta, ce.trivial_partition(sys), singles):
+        got = ce.covering_number(U, b)
+        assert got == ce.covering_number(as_cover(U), b)
+        if len(U) <= 12:
+            assert got == ce.covering_number_exhaustive(U, b)
+    assert ce.covering_number(U, singles) == 1
+    assert ce.covering_number(U, ce.trivial_partition(sys)) == sum(m > 0 for m in U.elements)
+
+
+def test_partition_covering_number_on_word_carriers(full2, gm):
+    U = ce.cylinder_partition(full2, 12)
+    with_empty = families.SetFamily(full2, 12, "partition", U.elements + (0,))
+    X = ce.trivial_partition(full2, 12)
+    assert ce.covering_number(with_empty, X) == 4096
+    beta = ce.extend_window(ce.cylinder_partition(full2, 11), 12)
+    assert ce.covering_number(with_empty, beta) == 2
+    assert ce.covering_number(beta, U) == 1  # U is finer than beta
+    V = ce.cylinder_partition(gm, 3)
+    Y = ce.extend_window(ce.cylinder_partition(gm, 1), 3)
+    assert ce.covering_number(V, Y) == ce.covering_number(as_cover(V), Y) == 3
+
+
 def test_conditional_quantities_on_8192_cylinders():
     """8192 cells conditioned on the 4096 cylinders of the first 12 symbols:
     only the last symbol is left, so H = H(p) and N = 2.  Unconditioned, the
