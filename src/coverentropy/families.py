@@ -256,12 +256,20 @@ def _partition_from_codes(system, window, codes: np.ndarray) -> SetFamily:
     masks = tuple(
         bitsets.mask_from_indices(flat[lo:hi]) for lo, hi in zip([0] + ends, ends)
     )
-    fam = SetFamily(system, window, PARTITION, masks)
+    return _seeded(SetFamily(system, window, PARTITION, masks), labels, words)
+
+
+def _seeded(fam: SetFamily, labels: np.ndarray, words: np.ndarray) -> SetFamily:
+    """fam with the incidence that `incidence()` would unpack from its masks
+    seeded into its cache, and a partition's labels too.  `labels` gives
+    each word's element and `words` lists the words by element, then by
+    index: every word belongs to exactly one element."""
     inc = (labels[words].astype(np.int32), words.astype(np.int32))
     for arr in inc:
         arr.flags.writeable = False
-    fam._cache["labels"] = labels
     fam._cache["incidence"] = inc
+    if fam.kind == PARTITION:
+        fam._cache["labels"] = labels
     return fam
 
 
@@ -440,17 +448,11 @@ def join_step(U: SetFamily, J: SetFamily, n: int) -> SetFamily:
 
 
 def _whole(system, window, kind) -> SetFamily:
-    """The one-element family {X} of this kind on a word carrier, with the
-    incidence (and a partition's labels) that would be unpacked from it."""
+    """The one-element family {X} of this kind on a word carrier, its
+    caches seeded."""
     size = systems.word_universe(system, window).count
     fam = SetFamily(system, window, kind, (bitsets.full_mask(size),))
-    inc = (np.zeros(size, dtype=np.int32), np.arange(size, dtype=np.int32))
-    for arr in inc:
-        arr.flags.writeable = False
-    fam._cache["incidence"] = inc
-    if kind == PARTITION:
-        fam._cache["labels"] = np.zeros(size, dtype=np.int64)
-    return fam
+    return _seeded(fam, np.zeros(size, dtype=np.int64), np.arange(size))
 
 
 # ---------------------------------------------------------------------------
