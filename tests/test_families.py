@@ -430,7 +430,7 @@ def step_join_cases(draw):
         n = draw(st.integers(2, 8))
         sys, window, size = ce.permutation(draw(st.permutations(range(n)))), None, n
     else:
-        # covers of the 3-shift stay at window 1, where their product is small
+        # the 3-shift stays at window 1, where its cover products stay small
         top = 2 if sys.alphabet_size == 2 else 1
         window = draw(st.integers(1, top))
         size = ce.systems.word_universe(sys, window).count
