@@ -5,11 +5,13 @@ finer-partition enumeration, cover distance, and pullbacks.
 A family lives on one carrier: either the admissible words of a word system
 at a fixed window length, or the points of a permutation system.  Elements
 are bitmasks over that carrier's universe (see `bitsets`); the masks and
-their order are a family's identity.  The only derived membership view is
-the cached `SetFamily.incidence()`, the (element, word) pairs of every
-membership: numpy code indexes it instead of a dense element-by-word matrix.
-At 8 bytes a membership it grows with the memberships, not with elements
-times words; a partition holds one membership per word.  Partitions also
+their order are a family's identity, and a partition built from labels
+makes them only when `elements` is first read (see below).  The only
+derived membership view is the cached `SetFamily.incidence()`, the
+(element, word) pairs of every membership: numpy code indexes it instead of
+a dense element-by-word matrix.  At 8 bytes a membership it grows with the
+memberships, not with elements times words; a partition holds one
+membership per word.  Partitions also
 cache one label per word (`partition_labels`), and labels are the only way
 a partition enters an entropy formula of `static_entropy`: pairing two label
 arrays gives the cells of the join without building it as a family, and a
@@ -20,10 +22,14 @@ written as labels and never validated as a `SetFamily`.
 Partitions are joined the same way.  `join` pairs the labels of its two
 partitions, and `dynamical_join` gives each word of the longer window one
 code of the labels read at every offset; the words that share a code form a
-cell.  One helper, `_partition_from_codes`, turns codes into a partition:
-it builds each mask once and seeds the new family's labels and incidence,
-so neither is unpacked from masks just packed.  Covers, and dynamical joins
-on point carriers, keep the pairwise mask product: on the small point
+cell.  One helper, `_partition_from_codes`, turns codes into labels, and one
+private constructor, `_from_labels`, turns labels into a partition: it
+checks them in O(words), seeds the new family's labels and incidence, and
+leaves its masks unmade until `elements` is read.  Nothing a rate loop
+calls reads them, so a join whose cells are single words holds O(words)
+memory, not cells x words bits.  `view_in_window` of a partition is a
+gather of its labels through the same constructor.  Covers, and dynamical
+joins on point carriers, keep the pairwise mask product: on the small point
 carriers in use, the numpy calls of the label path cost two to three times
 the product (see `dynamical_join`).
 
@@ -40,8 +46,10 @@ incidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -85,6 +93,20 @@ class SetFamily:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check_carrier()
+        elements = self.elements
+        if not elements:
+            raise FamilyError("a family needs at least one element")
+        size = self.universe_size
+        union = functools.reduce(operator.or_, elements)
+        if min(elements) < 0 or union >> size:
+            raise FamilyError("element mask outside the carrier universe")
+        if union != bitsets.full_mask(size):
+            raise FamilyError("elements do not cover the carrier")
+        if self.kind == PARTITION and sum(map(int.bit_count, elements)) != size:
+            raise FamilyError("partition elements are not pairwise disjoint")
+
+    def _check_carrier(self):
         if self.kind not in (COVER, PARTITION):
             raise FamilyError(f"kind must be cover or partition, got {self.kind!r}")
         if self.system.is_word_system:
@@ -93,20 +115,20 @@ class SetFamily:
         else:
             if self.window is not None:
                 raise FamilyError("point-carrier families have no window")
-        if not self.elements:
-            raise FamilyError("a family needs at least one element")
-        size = self.universe_size
-        union = 0
-        total_bits = 0
-        for m in self.elements:
-            if m < 0 or m >> size:
-                raise FamilyError("element mask outside the carrier universe")
-            union |= m
-            total_bits += m.bit_count()
-        if union != bitsets.full_mask(size):
-            raise FamilyError("elements do not cover the carrier")
-        if self.kind == PARTITION and total_bits != size:
-            raise FamilyError("partition elements are not pairwise disjoint")
+
+    def __getattr__(self, name):
+        # only a partition built from labels (`_from_labels`) lacks an
+        # attribute: its masks, made here on the first read of `elements`
+        ends = self.__dict__.get("_cache", {}).get("cell_ends")
+        if name != "elements" or ends is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        flat = self._cache["incidence"][1].tolist()
+        ends = ends.tolist()
+        masks = tuple(
+            bitsets.mask_from_indices(flat[lo:hi]) for lo, hi in zip([0] + ends, ends)
+        )
+        object.__setattr__(self, "elements", masks)
+        return masks
 
     @property
     def universe_size(self) -> int:
@@ -115,7 +137,8 @@ class SetFamily:
         return self.system.point_count
 
     def __len__(self) -> int:
-        return len(self.elements)
+        ends = self._cache.get("cell_ends")
+        return len(self.elements) if ends is None else len(ends)
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Every membership as parallel read-only int32 arrays (element
@@ -239,31 +262,47 @@ def _partition_from_codes(system, window, codes: np.ndarray) -> SetFamily:
     """The partition whose cells are the carrier words that share a code.
 
     Cells are ordered by (size, least word) with one lexsort: cells are
-    disjoint, so no two tie on both and this is `_canonical_order`.  Each
-    mask is built once, and the labels and incidence that `partition_labels`
-    and `incidence()` would unpack from those masks are seeded into the new
-    family's cache."""
+    disjoint, so no two tie on both and this is `_canonical_order`.  The
+    partition is built from its labels (`_from_labels`), so its masks are
+    made only if its elements are read."""
     _, first, cell, sizes = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True
     )
     order = np.lexsort((first, sizes))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    labels = rank[cell]
+    return _from_labels(system, window, rank[cell], len(order))
+
+
+def _from_labels(system, window, labels: np.ndarray, n: int) -> SetFamily:
+    """The partition of n cells, some possibly empty, that puts each carrier
+    word in cell labels[word].
+
+    The labels are checked in O(words) numpy in place of the mask checks of
+    `__post_init__`, and they are the family's membership: its labels and
+    incidence are seeded, and its masks are made on the first read of
+    `elements` (`SetFamily.__getattr__`), one `mask_from_indices` per cell.
+    A rate loop reads labels only, so it builds no W-bit mask per cell."""
+    fam = object.__new__(SetFamily)
+    for name, value in (("system", system), ("window", window), ("kind", PARTITION),
+                        ("_cache", {})):
+        object.__setattr__(fam, name, value)
+    fam._check_carrier()
+    if n < 1:
+        raise FamilyError("a family needs at least one element")
+    if len(labels) != fam.universe_size or np.any((labels < 0) | (labels >= n)):
+        raise FamilyError("labels must give each carrier word a cell in 0..n-1")
     words = np.argsort(labels, kind="stable")  # by cell, then by word
-    flat = words.tolist()
-    ends = np.cumsum(sizes[order]).tolist()
-    masks = tuple(
-        bitsets.mask_from_indices(flat[lo:hi]) for lo, hi in zip([0] + ends, ends)
-    )
-    return _seeded(SetFamily(system, window, PARTITION, masks), labels, words)
+    fam._cache["cell_ends"] = np.cumsum(np.bincount(labels, minlength=n))
+    return _seeded(fam, labels, words)
 
 
 def _seeded(fam: SetFamily, labels: np.ndarray, words: np.ndarray) -> SetFamily:
     """fam with the incidence that `incidence()` would unpack from its masks
     seeded into its cache, and a partition's labels too.  `labels` gives
     each word's element and `words` lists the words by element, then by
-    index: every word belongs to exactly one element."""
+    index: every word belongs to exactly one element.  A partition built
+    from labels makes its masks from these words (`_from_labels`)."""
     inc = (labels[words].astype(np.int32), words.astype(np.int32))
     for arr in inc:
         arr.flags.writeable = False
@@ -298,6 +337,9 @@ def view_in_window(U: SetFamily, offset: int, new_window: int) -> SetFamily:
     target = systems.word_universe(U.system, new_window)
     base = systems.word_universe(U.system, L)
     idx = base.indices_of_rows(target.array[:, offset : offset + L])
+    if U.kind == PARTITION:
+        # cells keep their order and count; a cell may become empty
+        return _from_labels(U.system, new_window, partition_labels(U)[idx], len(U))
     masks = tuple(bitsets.preimage(m, base.count, idx) for m in U.elements)
     return SetFamily(U.system, new_window, U.kind, masks)
 

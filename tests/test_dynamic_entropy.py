@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -157,6 +158,44 @@ def test_rate_loop_makes_constant_lookups_per_window(full2, monkeypatch):
     assert [e.value for e in est.entries] == pytest.approx(
         [N * LOG2 for N in range(1, n_max + 1)], abs=1e-12)
     assert len(calls) <= 2 * n_max * 2
+
+
+def test_rate_loops_build_no_masks(full2, monkeypatch):
+    """Rate loops read the labels of their joined partitions only; the
+    masks are made when `elements` is first read."""
+    built = []
+    make = ce.bitsets.mask_from_indices
+
+    def counted(indices):
+        built.append(1)
+        return make(indices)
+
+    monkeypatch.setattr(ce.bitsets, "mask_from_indices", counted)
+    X = ce.trivial_partition(full2, 1)
+    cyl = ce.cylinder_partition(full2, 1)
+    ce.covering_rate(cyl, X, n_max=8)
+    assert len(built) == 0
+    cyl = ce.cylinder_partition(full2, 1)
+    ce.joined_cover_rate(ce.bernoulli(full2, [0.3, 0.7]), cyl, X, n_max=8)
+    assert len(built) == 0
+    last, _ = dynamic_entropy._joined_pair(cyl, X, 8)
+    assert last.elements == ce.cylinder_partition(full2, 8).elements  # per-word cells
+    assert len(built) == 2**8
+
+
+def test_covering_rate_memory_scales_with_words(full2):
+    """At window 16 a per-word partition has 65 536 cells; as masks they
+    would take 65 536 x 65 536 bits."""
+    tracemalloc.start()
+    try:
+        est = ce.covering_rate(ce.cylinder_partition(full2, 1), ce.trivial_partition(full2, 1),
+                               n_max=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert [e.value for e in est.entries] == pytest.approx(
+        [N * LOG2 for N in range(1, 17)], abs=1e-12)
 
 
 def test_refining_partition_rate_on_partition(gm, parry):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -482,6 +483,87 @@ def test_one_element_families_join_to_one_element(gm, three_points):
     X = ce.trivial_partition(three_points[0])
     assert ce.dynamical_join(X, 2, 5) is X
     assert families.join_step(X, X, 1) is X
+
+
+@st.composite
+def label_built_partitions(draw):
+    """A partition built from labels by `join`, `dynamical_join`, `join_step`
+    or `view_in_window`, on a word carrier at window 1 or 2, possibly one
+    where some words have no successor, so that a viewed cell may be empty."""
+    sys = draw(st.sampled_from([ce.full_shift(2), ce.golden_mean(), ce.full_shift(3),
+                                ce.sft([[1, 1], [0, 0]])]))
+    window = draw(st.integers(1, 2))
+    size = ce.systems.word_universe(sys, window).count
+
+    def partition():
+        labels = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        cells = [[x for x in range(size) if labels[x] == c] for c in sorted(set(labels))]
+        return families.SetFamily(sys, window, "partition",
+                                  tuple(bitsets.mask_from_indices(c) for c in cells))
+
+    U = partition()
+    how = draw(st.sampled_from(["join", "dynamical_join", "join_step", "view_in_window"]))
+    if how == "join":
+        return U, ce.join(U, partition()), None
+    N = draw(st.integers(1, 3))
+    if how == "dynamical_join":
+        return U, ce.dynamical_join(U, draw(st.integers(0, N - 1)), N), None
+    if how == "join_step":
+        return U, families.join_step(U, ce.dynamical_join(U, 0, N - 1), N), None
+    offset = draw(st.integers(0, N))
+    return U, families.view_in_window(U, offset, window + N), offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_built_partitions())
+def test_label_built_partitions_equal_mask_built_ones(case):
+    U, fam, offset = case
+    X = ce.trivial_partition(fam.system, fam.window)
+    size = fam.universe_size
+    mu = ce.measures.ConditionalMeasure(fam.system, fam.window, 0, np.full(size, 1 / size), 1.0)
+    with mock.patch.object(bitsets, "mask_from_indices", wraps=bitsets.mask_from_indices) as spy:
+        n = len(fam)
+        labels = families.partition_labels(fam).copy()
+        fam.incidence()
+        count = ce.static_entropy.covering_number(fam, X)
+        h = ce.static_entropy.conditional_entropy(mu, fam, X).nats
+        assert spy.call_count == 0
+    ref = families.SetFamily(fam.system, fam.window, "partition", tuple(fam.elements))
+    assert type(fam.elements) is tuple
+    assert (fam == ref, hash(fam), len(fam), repr(fam)) == (True, hash(ref), n, repr(ref))
+    assert_seeded_caches_match_fresh(fam)
+    assert families.partition_labels(ref).tolist() == labels.tolist()
+    assert ce.static_entropy.covering_number(ref, X) == count
+    assert ce.static_entropy.conditional_entropy(mu, ref, X).nats == h
+    if offset is not None:  # a view keeps U's cells in order, as their preimages
+        base = ce.systems.word_universe(U.system, U.window)
+        target = ce.systems.word_universe(U.system, fam.window)
+        idx = base.indices_of_rows(target.array[:, offset : offset + U.window])
+        assert fam.elements == tuple(bitsets.preimage(m, base.count, idx) for m in U.elements)
+
+
+def test_label_built_partition_rejects_bad_labels(gm):
+    size = ce.systems.word_universe(gm, 2).count
+    with pytest.raises(families.FamilyError):
+        families._from_labels(gm, 2, np.zeros(size - 1, dtype=np.int64), 1)
+    for bad in (-1, 2):
+        labels = np.zeros(size, dtype=np.int64)
+        labels[1] = bad
+        with pytest.raises(families.FamilyError):
+            families._from_labels(gm, 2, labels, 2)
+    assert families._from_labels(gm, 2, np.arange(size), size) == ce.cylinder_partition(gm, 2)
+
+
+def test_mask_checks_fire_each_message(gm):
+    cases = [
+        ((-1, 7), "outside the carrier universe"),  # a negative mask
+        ((7, 1 << 3), "outside the carrier universe"),  # a bit past the 3 words
+        ((1, 2), "do not cover the carrier"),  # a gap: word 2 has no element
+        ((3, 6), "not pairwise disjoint"),  # word 1 in two cells
+    ]
+    for masks, message in cases:
+        with pytest.raises(families.FamilyError, match=message):
+            families.SetFamily(gm, 2, "partition", masks)
 
 
 def test_partition_invariant_enforced(three_points):
