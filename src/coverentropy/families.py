@@ -99,7 +99,7 @@ class SetFamily:
             raise FamilyError("a family needs at least one element")
         size = self.universe_size
         union = functools.reduce(operator.or_, elements)
-        if min(elements) < 0 or union >> size:
+        if union >> size:  # a negative mask makes the union negative
             raise FamilyError("element mask outside the carrier universe")
         if union != bitsets.full_mask(size):
             raise FamilyError("elements do not cover the carrier")
