@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from . import bitsets, systems
 from .systems import SymbolicSystem
@@ -45,7 +44,7 @@ def recurrent_classes(P: np.ndarray) -> list[list[int]]:
     components with no positive edge leaving them and at least one internal
     edge (a dead state is transient, not a class)."""
     pos = P > 0
-    _, comp = csgraph.connected_components(pos, connection="strong")
+    comp = systems._strong_components(pos)
     src, dst = comp[np.argwhere(pos).T]
     # a component with an edge and no edge leaving it has an internal edge
     closed = np.setdiff1d(src, src[src != dst])

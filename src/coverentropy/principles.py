@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import dynamic_entropy, families, measures, static_entropy, systems
 from .dynamic_entropy import RATE_NODE_BUDGET_DEFAULT
@@ -221,6 +220,8 @@ def variational_search(
     the allowed edges, derivative-free simplex search, multi-start) and
     compare the supremum estimate against the combinatorial rate.  Both sides
     are upper-bound estimates, so the verdict is never `violated`."""
+    from scipy import optimize  # here, so that importing the package needs no scipy
+
     classes = measures.recurrent_classes(sys.transition_array())
     if len(classes) != 1:
         raise measures.MeasureError(
@@ -302,6 +303,8 @@ def minmax_check(
     under-approximated (finite grid plus simplex refinement) and the outer
     inf restricted to window-built partitions, so computed minmax <= true
     minmax; the verdict compares it against the combinatorial estimate."""
+    from scipy import optimize  # here, as in variational_search
+
     window, candidates, used_fallback = families._finer_candidates(U, window, budget)
     candidates = list(candidates)
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csgraph
 
 FULL_SHIFT = "full_shift"
 SFT = "sft"
@@ -103,9 +102,59 @@ def _has_essential_part(transition) -> bool:
     # A bi-infinite path exists iff the graph has a cycle, that is iff some
     # edge (a loop counts) has both ends in one strong component.
     t = np.array(transition, dtype=bool)
-    _, comp = csgraph.connected_components(t, connection="strong")
+    comp = _strong_components(t)
     src, dst = comp[np.argwhere(t).T]
     return bool(np.any(src == dst))
+
+
+def _strong_components(adj: np.ndarray) -> np.ndarray:
+    """Strong-component labels of the digraph with boolean k x k adjacency
+    matrix adj: two vertices share a label iff each reaches the other.
+    Kosaraju's two depth-first passes, with every row (and every column, for
+    the reversed graph) held as a Python-int bitset, so that one AND with the
+    unvisited set finds a vertex's next successor: O(k) bitset steps of
+    O(k / 64) words each, whatever the number of edges."""
+    k = len(adj)
+
+    def row_ints(a):
+        return [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(a, axis=1, bitorder="little")]
+
+    succ, pred = row_ints(adj), row_ints(adj.T)
+    finished = []  # vertices in the order their first-pass search ends
+    unseen = (1 << k) - 1
+    for root in range(k):
+        if unseen >> root & 1:
+            unseen ^= 1 << root
+            stack = [root]
+            while stack:
+                nxt = succ[stack[-1]] & unseen
+                if nxt:
+                    low = nxt & -nxt
+                    unseen ^= low
+                    stack.append(low.bit_length() - 1)
+                else:
+                    finished.append(stack.pop())
+    # in reverse finishing order, what a root still reaches backwards is its
+    # component
+    labels = [0] * k
+    unseen = (1 << k) - 1
+    c = 0
+    for root in reversed(finished):
+        if unseen >> root & 1:
+            unseen ^= 1 << root
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                labels[v] = c
+                nxt = pred[v] & unseen
+                unseen ^= nxt
+                while nxt:
+                    low = nxt & -nxt
+                    nxt ^= low
+                    stack.append(low.bit_length() - 1)
+            c += 1
+    return np.array(labels)
 
 
 @dataclass(frozen=True, eq=False)

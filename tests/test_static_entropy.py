@@ -25,6 +25,23 @@ def test_shannon_examples():
     assert v.method == "exact" and v.certificate == 0.0
 
 
+def test_entr_matches_scipy_within_two_ulp():
+    # _entr computes phi with numpy's log; scipy's entr of the clamped input
+    # is the oracle: at most 2 ulp apart, and zeros (0, -0.0, round-off
+    # below 0) read as +0 and phi(1) as -0, as scipy gives them
+    from scipy import special
+    rng = np.random.default_rng(11)
+    edge = np.array([0.0, -0.0, -1e-17, -1e-300, 1.0, 0.5, 1e-300, 5e-324])
+    for scale in (1.0, 1e-3, 1e-12):
+        x = np.concatenate([rng.random(20000) * scale, edge])
+        expected = special.entr(np.maximum(x, 0.0))
+        got = static_entropy._entr(x.copy())
+        assert np.all(np.abs(got - expected) <= 2 * np.spacing(np.abs(expected)))
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    zeros = static_entropy._entr(np.array([[0.0, -0.0], [-1e-17, -2e-16]]))
+    assert np.all(zeros == 0.0) and not np.signbit(zeros).any()
+
+
 def test_shannon_rejects_bad_weights():
     with pytest.raises(static_entropy.EntropyError):
         ce.shannon([-0.1, 1.1])
