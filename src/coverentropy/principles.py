@@ -205,6 +205,76 @@ def _measure_parameterization(sys: systems.SymbolicSystem):
     return dim, build
 
 
+def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+    """Minimize f from x0 by the Nelder-Mead simplex method (Nelder & Mead,
+    Comput. J. 7, 1965) with fixed settings: reflection 1, expansion 2,
+    contraction and shrink 1/2, and a first simplex of x0 plus x0 with one
+    coordinate scaled by 1.05 (set to 0.00025 where it is 0).  It stops after
+    `maxiter` iterations, counting from 1, or once every vertex lies within
+    `xatol` of the best in each coordinate and within `fatol` of it in value.
+    Step for step, and so in every bit of the result, this is
+    scipy.optimize.minimize(f, x0, method="Nelder-Mead", options={"maxiter":
+    maxiter, "xatol": xatol, "fatol": fatol}): the same arithmetic, f called
+    on a copy of each vertex, and the same sorts (scipy's sort twice after
+    the first simplex).  Returns (x, fun, nfev): the best vertex, its value
+    as np.float64, and the number of calls of f."""
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        nfev += 1
+        return f(np.copy(x))
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf)
+    for k in range(N + 1):
+        fsim[k] = call(sim[k])
+    sim, fsim = ordered(*ordered(sim, fsim))
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]  # reflection
+        fxr = call(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expansion
+            fxe = call(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                fxc = call(xc)
+                accepted = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                fxc = call(xc)
+                accepted = fxc < fsim[-1]
+            if accepted:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = call(sim[j])
+        iterations += 1
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], np.min(fsim), nfev
+
+
 def variational_search(
     sys: systems.SymbolicSystem,
     U: SetFamily,
@@ -217,11 +287,16 @@ def variational_search(
     tolerance: float = BRACKET_TOL,
 ) -> PrincipleReport:
     """Maximize the joined-cover rate over Markov measures (softmax rows on
-    the allowed edges, derivative-free simplex search, multi-start) and
-    compare the supremum estimate against the combinatorial rate.  Both sides
-    are upper-bound estimates, so the verdict is never `violated`."""
-    from scipy import optimize  # here, so that importing the package needs no scipy
-
+    the allowed edges) and compare the supremum estimate against the
+    combinatorial rate.  Each of `starts` seeded starting points runs a
+    Nelder-Mead simplex search (`_nelder_mead`: reflection 1, expansion 2,
+    contraction and shrink 1/2) for at most `max_iter` iterations, with
+    xatol 1e-4 and fatol 1e-10.  Both sides are upper-bound estimates, so the
+    verdict is never `violated`."""
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     classes = measures.recurrent_classes(sys.transition_array())
     if len(classes) != 1:
         raise measures.MeasureError(
@@ -243,14 +318,8 @@ def variational_search(
     for s_seed in start_seeds:
         theta0 = np.random.default_rng(s_seed).normal(size=dim) if dim else np.zeros(1)
         if dim:
-            res = optimize.minimize(
-                objective,
-                theta0,
-                method="Nelder-Mead",
-                options={"maxiter": max_iter, "xatol": 1e-4, "fatol": 1e-10},
-            )
-            val, theta = -res.fun, res.x
-            evals = res.nfev
+            theta, fun, evals = _nelder_mead(objective, theta0, max_iter, 1e-4, 1e-10)
+            val = -fun
         else:
             val, theta, evals = -objective(theta0), theta0, 1
         trace.append({"seed": s_seed, "value": val, "evaluations": evals})
@@ -302,8 +371,16 @@ def minmax_check(
     of the partition rate against the combinatorial rate.  The inner sup is
     under-approximated (finite grid plus simplex refinement) and the outer
     inf restricted to window-built partitions, so computed minmax <= true
-    minmax; the verdict compares it against the combinatorial estimate."""
-    from scipy import optimize  # here, as in variational_search
+    minmax; the verdict compares it against the combinatorial estimate.
+    The refinement runs `refine_starts` Nelder-Mead simplex searches
+    (`_nelder_mead`: reflection 1, expansion 2, contraction and shrink 1/2)
+    per candidate from seeded random points, each for at most `refine_iter`
+    iterations with xatol 1e-3 and fatol 1e-9."""
+    measure_grid = list(measure_grid)  # read once per candidate
+    if not measure_grid:
+        raise ValueError("measure_grid must hold at least one measure")
+    if refine_starts < 0:
+        raise ValueError(f"refine_starts must be >= 0, got {refine_starts}")
 
     window, candidates, used_fallback = families._finer_candidates(U, window, budget)
     candidates = list(candidates)
@@ -324,13 +401,10 @@ def minmax_check(
                 return -dynamic_entropy.entropy_rate(mu, alpha, beta, n_max).running_inf
 
             for _ in range(refine_starts):
-                res = optimize.minimize(
-                    neg_rate,
-                    rng.normal(size=dim),
-                    method="Nelder-Mead",
-                    options={"maxiter": refine_iter, "xatol": 1e-3, "fatol": 1e-9},
+                _, fun, _ = _nelder_mead(
+                    neg_rate, rng.normal(size=dim), refine_iter, 1e-3, 1e-9
                 )
-                sup_val = max(sup_val, -res.fun)
+                sup_val = max(sup_val, -fun)
         rows.append(sup_val)
         minmax = min(minmax, sup_val)
 

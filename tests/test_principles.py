@@ -141,6 +141,108 @@ def test_minmax_monotone_in_grid(full3):
     assert r2.lhs >= r1.lhs - 1e-12  # larger grid, larger inner sup
 
 
+def test_variational_search_rejects_fewer_than_one_start(full2):
+    U = ce.cylinder_partition(full2, 1)
+    X = ce.trivial_partition(full2, 1)
+    for starts in (0, -1):
+        with pytest.raises(ValueError, match=f"starts must be >= 1, got {starts}"):
+            ce.variational_search(full2, U, X, n_max=3, starts=starts)
+
+
+def test_variational_search_rejects_fewer_than_one_iteration(full2):
+    U = ce.cylinder_partition(full2, 1)
+    X = ce.trivial_partition(full2, 1)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        ce.variational_search(full2, U, X, n_max=3, max_iter=0)
+
+
+def test_minmax_rejects_an_empty_measure_grid(full2):
+    U = ce.cylinder_partition(full2, 1)
+    X = ce.trivial_partition(full2, 1)
+    for empty in ([], iter([])):
+        with pytest.raises(ValueError, match="measure_grid must hold at least one"):
+            ce.minmax_check(full2, U, X, empty, n_max=3)
+
+
+def test_minmax_rejects_negative_refine_starts(full2):
+    U = ce.cylinder_partition(full2, 1)
+    X = ce.trivial_partition(full2, 1)
+    grid = [ce.bernoulli(full2, [0.5, 0.5])]
+    with pytest.raises(ValueError, match="refine_starts must be >= 0, got -1"):
+        ce.minmax_check(full2, U, X, grid, n_max=3, refine_starts=-1)
+
+
+def _simplex_cases():
+    # seeded objectives on dims 1-4: quadratic, Rosenbrock and a floor of a
+    # quadratic whose plateaus tie vertex values; zeros in x0 take the 0.00025
+    # branch of the first simplex; both callers' tolerances, maxiter 1-200
+    rng = np.random.default_rng(2024)
+    for case in range(120):
+        dim = int(rng.integers(1, 5))
+        c = rng.normal(size=dim)
+        kind = case % 3
+        if kind == 0:
+            def f(x, c=c):
+                return float(np.sum((x - c) ** 2))
+        elif kind == 1:
+            def f(x, c=c):
+                y = x + c
+                return float(np.sum(100 * (y[1:] - y[:-1] ** 2) ** 2 + (1 - y[:-1]) ** 2)
+                             + (y[0] - 1) ** 2)
+        else:
+            def f(x, c=c):
+                return float(np.floor(4 * np.sum((x - c) ** 2)))
+        x0 = rng.normal(size=dim)
+        x0[rng.random(dim) < 0.3] = 0.0
+        tol = (1e-4, 1e-10) if rng.random() < 0.5 else (1e-3, 1e-9)
+        yield f, x0, int(rng.integers(1, 201)), tol
+
+
+def test_simplex_search_matches_scipy_nelder_mead():
+    # scipy is the oracle: the port repeats its arithmetic and its sorts, so
+    # x, fun and nfev agree in every bit
+    from scipy import optimize
+    for f, x0, maxiter, (xatol, fatol) in _simplex_cases():
+        res = optimize.minimize(
+            f, x0, method="Nelder-Mead",
+            options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
+        )
+        x, fun, nfev = principles._nelder_mead(f, x0.copy(), maxiter, xatol, fatol)
+        assert np.array_equal(x, res.x)
+        assert type(fun) is np.float64 and fun == res.fun
+        assert type(nfev) is int and nfev == res.nfev
+
+
+def test_minmax_refinement_values_are_pinned(gm):
+    # the grid's measure is far from the maximizer, so both candidates' sups
+    # come from the simplex refinement; values recorded with scipy's
+    # Nelder-Mead, so a drift of the search shows here without scipy
+    mu = ce.markov(gm, [[0.9, 0.1], [1.0, 0.0]])
+    U = ce.family_of_words(gm, 2, [["00", "10"], ["01", "10"]], "cover")
+    beta = ce.cylinder_partition(gm, 1)
+    rep = ce.minmax_check(gm, U, beta, [mu], n_max=4, refine_starts=2,
+                          refine_iter=20, seed=1)
+    assert rep.details["per_candidate_sup"] == [0.12030294990208995,
+                                                0.1203029562646476]
+    unrefined = ce.minmax_check(gm, U, beta, [mu], n_max=4, refine_starts=0)
+    assert unrefined.details["per_candidate_sup"] == [0.07388249395260188] * 2
+
+
+def test_variational_search_report_is_pinned(gm):
+    # recorded with scipy's Nelder-Mead, as above
+    U = ce.family_of_words(gm, 2, [["00", "10"], ["01", "10"]], "cover")
+    beta = ce.cylinder_partition(gm, 1)
+    rep = ce.variational_search(gm, U, beta, n_max=6, starts=2, max_iter=25, seed=7)
+    assert rep.details["trace"] == [
+        {"seed": 2029167940, "value": 0.080201970840677, "evaluations": 46},
+        {"seed": 1342382291, "value": 0.08020197041990866, "evaluations": 48},
+    ]
+    assert rep.details["best_P"].tolist() == [
+        [0.6180371731626934, 0.3819628268373067], [1.0, 0.0]
+    ]
+    assert rep.rhs == 0.080201970840677
+
+
 def test_bracket_partition_width_zero(gm, parry):
     alpha = ce.cylinder_partition(gm, 1)
     X = ce.trivial_partition(gm, 1)
