@@ -159,26 +159,19 @@ def _audit_subadditivity(entries):
 # the dynamical sequences
 
 
-def _window_join(F: SetFamily, N: int) -> SetFamily:
-    """`dynamical_join(F, 0, N - 1)`.  F caches its joins in window order,
-    and each missing one is built from the one before by `join_step`."""
-    joins = F._cache.setdefault("window_joins", [F])  # joins[n] = F^{n+1}
-    while len(joins) < N:
-        joins.append(families.join_step(F, joins[-1], len(joins)))
-    return joins[N - 1]
-
-
 def _joined_pair(U: SetFamily, beta: SetFamily, N: int) -> tuple[SetFamily, SetFamily]:
     """Aligned N-fold dynamical joins of a family and its conditioner,
     memoized on the family instances.  A rate loop asks for N = 1, 2, ... in
-    turn, so each join is the one at window N - 1, cached on U and on beta,
-    stepped by one window (`_window_join`): O(1) offset lookups per window
-    instead of N."""
+    turn, and `dynamical_join` keeps each family's joins on it and steps
+    each new one from the one before: O(1) offset lookups per window instead
+    of N."""
     key = ("joined_pair", id(beta), N)
     got = U._cache.get(key)
     if got is not None and got[0] is beta:
         return got[1], got[2]
-    uj, bj = families.align_windows(_window_join(U, N), _window_join(beta, N))
+    uj, bj = families.align_windows(
+        families.dynamical_join(U, 0, N - 1), families.dynamical_join(beta, 0, N - 1)
+    )
     U._cache[key] = (beta, uj, bj)
     return uj, bj
 
@@ -332,17 +325,18 @@ def power_identity_check(
 
 def block_recode(U: SetFamily, M: int) -> SetFamily:
     """A word family re-read on the M-block power system.  Power n-words
-    biject order-preservingly with base (n*M)-words, so after extending the
-    window to a block multiple the element masks transfer unchanged."""
+    biject order-preservingly with base (n*M)-words, so U read through the
+    prefix of each (n*M)-word, the window extended to a block multiple,
+    transfers unchanged."""
     if M == 1:
         return U
     if not U.system.is_word_system:
         raise families.FamilyError("block recoding applies to word carriers")
     pow_sys = systems.power_system(U.system, M)
     n = -(-U.window // M)
-    ext = families.extend_window(U, n * M)
     assert (
         systems.word_universe(pow_sys, n).count
         == systems.word_universe(U.system, n * M).count
     )
-    return SetFamily(pow_sys, n, U.kind, ext.elements)
+    idx = families._subword_indices(U.system, U.window, 0, n * M)
+    return families._read_through(U, pow_sys, n, idx)

@@ -19,29 +19,31 @@ partition computed on the fly, such as the glued minimizer of a cover, or
 every assignment of the finer-partition enumeration at once (route C), is
 written as labels and never validated as a `SetFamily`.
 
-Partitions are joined the same way.  `join` pairs the labels of its two
-partitions, and `dynamical_join` gives each word of the longer window one
-code of the labels read at every offset; the words that share a code form a
-cell.  One helper, `_partition_from_codes`, turns codes into labels, and one
-private constructor, `_from_labels`, turns labels into a partition: it
-checks them in O(words), seeds the new family's labels and incidence, and
-leaves its masks unmade until `elements` is read.  Nothing a rate loop
-calls reads them, so a join whose cells are single words holds O(words)
-memory, not cells x words bits.  `view_in_window` of a partition is a
-gather of its labels through the same constructor.  Covers, and dynamical
-joins on point carriers, keep the pairwise mask product: on the small point
-carriers in use, the numpy calls of the label path cost two to three times
-the product (see `dynamical_join`).
+Partitions are joined the same way: `join` pairs the labels of its two
+partitions, and the words that share a pair form a cell.  One helper,
+`_partition_from_codes`, turns such codes into labels, and one private
+constructor, `_from_labels`, turns labels into a partition: it checks them
+in O(words), seeds the new family's labels and incidence, and leaves its
+masks unmade until `elements` is read.  Nothing a rate loop calls reads
+them, so a join whose cells are single words holds O(words) memory, not
+cells x words bits.  A family read through an index map (`view_in_window`,
+`pullback`, `block_recode`) is a gather of a partition's labels through
+the same constructor, or the preimages of a cover's masks
+(`_read_through`).
 
-A rate loop needs U^N = ⋁_{n<N} T^{-n}U at every N in turn, and `join_step`
-builds U^N from U^{N-1} with O(1) new work per window: a partition's code of
-a word is its prefix's label in U^{N-1} (the prefix rows come with the word
-universe) paired with U's label of its last letters, one row lookup per
-window where `dynamical_join` makes N; covers and point carriers take the
-mask product of U^{N-1} with the single new offset.  A one-element family
-{X} joins to {X} at the new window in either function, with no lookup and
-no mask built from indices.  Both give the same elements, labels and
-incidence.
+Every dynamical join U^N = ⋁_{n<N} T^{-n}U is built one window at a time.
+U keeps the list of its joins, and `dynamical_join` steps each missing one
+from the one before with `join_step`, so a rate loop that asks for N = 1,
+2, ... in turn and a one-shot call share that list.  A step does O(1) new
+work per window: a partition's code of a word is its prefix's label in
+U^{N-1} (the prefix rows come with the word universe) paired with U's label
+of its last letters; a cover takes the mask product of U^{N-1}, extended by
+one letter, with U at the new offset.  A one-element family {X} joins to
+{X} at the new window with no lookup and no mask built from indices.  On a
+point carrier T^{-n}U is the preimage of U's masks under T^n (`_pulled`),
+and the join is the mask product: on the small point carriers in use, the
+numpy calls of the label path cost two to three times the product (see
+`dynamical_join`).
 """
 
 from __future__ import annotations
@@ -183,12 +185,10 @@ def family_of_points(sys: SymbolicSystem, elements, kind: str) -> SetFamily:
 
 
 def trivial_partition(sys: SymbolicSystem, window: Optional[int] = None) -> SetFamily:
-    """The one-element partition {X}."""
+    """The one-element partition {X}, its labels and incidence seeded."""
     if sys.is_word_system:
-        window = 1 if window is None else window
-        size = systems.word_universe(sys, window).count
-        return SetFamily(sys, window, PARTITION, (bitsets.full_mask(size),))
-    return SetFamily(sys, None, PARTITION, (bitsets.full_mask(sys.point_count),))
+        return _whole(sys, 1 if window is None else window, PARTITION)
+    return _whole(sys, None, PARTITION)
 
 
 def cylinder_partition(sys: SymbolicSystem, window: int = 1) -> SetFamily:
@@ -334,14 +334,28 @@ def view_in_window(U: SetFamily, offset: int, new_window: int) -> SetFamily:
     L = U.window
     if offset < 0 or offset + L > new_window:
         raise FamilyError("family does not fit the requested window")
-    target = systems.word_universe(U.system, new_window)
-    base = systems.word_universe(U.system, L)
-    idx = base.indices_of_rows(target.array[:, offset : offset + L])
+    idx = _subword_indices(U.system, L, offset, new_window)
+    return _read_through(U, U.system, new_window, idx)
+
+
+def _subword_indices(system, length: int, offset: int, window: int) -> np.ndarray:
+    """For each admissible window-word, the index of its subword
+    [offset, offset + length) among the admissible length-words."""
+    rows = systems.word_universe(system, window).array[:, offset : offset + length]
+    return systems.word_universe(system, length).indices_of_rows(rows)
+
+
+def _read_through(U: SetFamily, system, window, idx: np.ndarray) -> SetFamily:
+    """U read on the carrier of (system, window) through idx, which maps each
+    carrier word to a word of U's carrier: a word lies in element m iff its
+    image does.  A partition's labels are gathered (`_from_labels`), so its
+    cells keep their order and count and a cell may become empty; a cover's
+    masks are preimaged.  Both give the elements of the preimage masks."""
     if U.kind == PARTITION:
-        # cells keep their order and count; a cell may become empty
-        return _from_labels(U.system, new_window, partition_labels(U)[idx], len(U))
-    masks = tuple(bitsets.preimage(m, base.count, idx) for m in U.elements)
-    return SetFamily(U.system, new_window, U.kind, masks)
+        return _from_labels(system, window, partition_labels(U)[idx], len(U))
+    size = U.universe_size
+    masks = tuple(bitsets.preimage(m, size, idx) for m in U.elements)
+    return SetFamily(system, window, U.kind, masks)
 
 
 def extend_window(U: SetFamily, new_window: int) -> SetFamily:
@@ -364,135 +378,82 @@ def align_windows(U: SetFamily, V: SetFamily) -> tuple[SetFamily, SetFamily]:
     return U, V
 
 
-def _position_membership(U: SetFamily, offsets, new_window) -> list[list[int]]:
-    """For each offset, the per-element membership masks over the target
-    universe (word carriers) or over points after that many backward steps
-    (point carriers, offsets meaning T^{-n})."""
-    if U.system.is_word_system:
-        return [list(view_in_window(U, off, new_window).elements) for off in offsets]
-    size = U.universe_size
-    out = []
-    for n in offsets:
-        table = systems.permutation_power_table(U.system, n)
-        out.append([bitsets.preimage(m, size, table) for m in U.elements])
-    return out
-
-
-_CODE_LIMIT = 2**62  # label codes are re-ranked before they could pass this
-
-
-def _window_codes(U: SetFamily, new_window: int) -> np.ndarray:
-    """For each word of the new_window universe, one int64 code of the labels
-    of U read at every offset, the first offset most significant.  Codes are
-    re-ranked to 0..distinct-1 only when the next multiplication could pass
-    `_CODE_LIMIT`; equal codes mean equal label sequences either way."""
-    L, n = U.window, len(U)
-    target = systems.word_universe(U.system, new_window)
-    base = systems.word_universe(U.system, L)
-    lab = partition_labels(U)
-    codes = np.zeros(target.count, dtype=np.int64)
-    bound = 1  # every code is below this
-    for off in range(new_window - L + 1):
-        if bound * n > _CODE_LIMIT:
-            distinct, codes = np.unique(codes, return_inverse=True)
-            bound = len(distinct)
-        codes = codes * n + lab[base.indices_of_rows(target.array[:, off : off + L])]
-        bound *= n
-    return codes
-
-
 def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
-    """⋁_{n=M}^{N} T^{-n} U.
+    """⋁_{n=M}^{N} T^{-n} U, empty intersections dropped and duplicates
+    merged as in `join`.
 
-    Word carriers return the family read from coordinate M, i.e. at window
-    (N - M) + L; point carriers apply the permutation preimages literally.
-    Empty intersections are dropped and duplicates merged as in `join`.
-    A one-element family {X} joins to {X} at the new window (`_whole`).
+    U keeps the list of its joins ⋁_{i<=n} T^{-i}U, n = 0, 1, ..., and each
+    missing one is stepped from the one before by `join_step`; a rate loop
+    that asks for N = 1, 2, ... and a one-shot call share the list.  On a
+    word carrier T^{-M} only moves the coordinates, so the join is entry
+    N - M, at window (N - M) + L.  On a point carrier it is the preimage
+    under T^M of that entry (`_pulled`).
 
-    A partition over a word carrier is joined by label pairing: every target
-    word gets one code of its labels at the N - M + 1 offsets, and the words
-    sharing a code form a cell (`_partition_from_codes`, which also seeds the
-    result's labels and incidence).  Covers, and every family on a point
-    carrier, take the mask product over `_position_membership`.  Point
-    carriers are small (the property suites draw at most 10 points), and
-    there the fixed cost of the label path's numpy calls exceeds the whole
-    mask product: for `dynamical_join(beta, 1, 1)` on 4 to 10 points the
-    label path took 33-37 us against 11-22 us (2-core x86-64 VM, Python
-    3.11, numpy 2.4).
-
-    This builds the join in one shot, with N - M + 1 offset lookups; a loop
-    over N builds each window from the one before with `join_step`.
+    Point carriers keep the mask product, not labels.  They are small (the
+    property suites draw at most 10 points), and there the fixed cost of
+    the label path's numpy calls exceeds the whole product: for
+    `dynamical_join(beta, 1, 1)` on 4 to 10 points the label path took
+    33-37 us against 11-22 us (2-core x86-64 VM, Python 3.11, numpy 2.4).
     """
     if M < 0 or M > N:
         raise FamilyError("need 0 <= M <= N")
+    # the list holds U, so it is kept only once a join is stepped: kept on
+    # every T^{-1}U of the property suites, the cycle nearly doubled their
+    # gen-0 garbage collections
+    joins = U._cache.get("window_joins", [U])
+    while len(joins) <= N - M:
+        joins.append(join_step(U, joins[-1], len(joins)))
+        U._cache["window_joins"] = joins
     if U.system.is_word_system:
-        if M == N:
-            return U
-        new_window = (N - M) + U.window
-        if len(U) == 1:
-            return _whole(U.system, new_window, U.kind)
-        if U.kind == PARTITION:
-            codes = _window_codes(U, new_window)
-            return _partition_from_codes(U.system, new_window, codes)
-        memberships = _position_membership(U, range(N - M + 1), new_window)
-    else:
-        if M == N == 0 or len(U) == 1:  # {X} is its own preimage
-            return U
-        memberships = _position_membership(U, range(M, N + 1), None)
-        new_window = None
-    live = memberships[0]
-    for pos in memberships[1:]:
-        nxt = []
-        for c in live:
-            for m in pos:
-                inter = c & m
-                if inter:
-                    nxt.append(inter)
-        live = nxt
-    masks = _merge_masks(live)
-    return SetFamily(U.system, new_window, U.kind, masks)
+        return joins[N - M]
+    return _pulled(joins[N - M], M)
 
 
 def join_step(U: SetFamily, J: SetFamily, n: int) -> SetFamily:
-    """⋁_{i=0}^{n} T^{-i} U from J = ⋁_{i=0}^{n-1} T^{-i} U, for n >= 1:
-    `dynamical_join(U, 0, n)` from `dynamical_join(U, 0, n - 1)`, with the
-    same elements, labels and incidence.
+    """⋁_{i=0}^{n} T^{-i} U from J = ⋁_{i=0}^{n-1} T^{-i} U, for n >= 1.
 
     On a word carrier every word of the new window is a word of J's window
     with one letter appended, and its prefix's index is the universe's
     `prefix` row.  A partition codes each word by J's label of its prefix
     and U's label of its last U.window letters, so one offset lookup serves
     the window; the codes stay below len(J) * len(U) and need no re-ranking.
-    A cover extends J's masks by one letter and takes their product with U
-    at offset n; a point carrier takes J as it is.  Empty intersections are
-    dropped and duplicates merged, as in `dynamical_join`, and the product
+    A cover reads J through the prefix rows and takes the mask product with
+    U at offset n; a point carrier takes the product of J with T^{-n}U.
+    Empty intersections are dropped and duplicates merged, so the product
     over every offset has the same distinct masks as this one."""
     if not U.system.is_word_system:
-        if len(U) == 1:
+        if len(U) == 1:  # {X} is its own preimage
             return U
-        prefix_masks, window = J.elements, None
-        last = _position_membership(U, [n], None)[0]
+        prefix, last, window = J, _pulled(U, n), None
     else:
         window = J.window + 1
         if len(U) == 1:
             return _whole(U.system, window, U.kind)
         target = systems.word_universe(U.system, window)
         if U.kind == PARTITION:
-            base = systems.word_universe(U.system, U.window)
-            suffix = base.indices_of_rows(target.array[:, -U.window :])
+            suffix = _subword_indices(U.system, U.window, n, window)
             codes = partition_labels(J)[target.prefix] * len(U) + partition_labels(U)[suffix]
             return _partition_from_codes(U.system, window, codes)
-        size = J.universe_size
-        prefix_masks = [bitsets.preimage(m, size, target.prefix) for m in J.elements]
-        last = view_in_window(U, n, window).elements
-    masks = _merge_masks(c & m for c in prefix_masks for m in last)
+        prefix = _read_through(J, U.system, window, target.prefix)
+        last = view_in_window(U, n, window)
+    masks = _merge_masks(c & m for c in prefix.elements for m in last.elements)
     return SetFamily(U.system, window, U.kind, masks)
 
 
+def _pulled(U: SetFamily, n: int) -> SetFamily:
+    """T^{-n}U on a point carrier: the preimage of each element under T^n,
+    duplicates merged and in canonical order."""
+    if n == 0 or len(U) == 1:  # {X} is its own preimage
+        return U
+    size, table = U.universe_size, systems.permutation_power_table(U.system, n)
+    masks = _merge_masks(bitsets.preimage(m, size, table) for m in U.elements)
+    return SetFamily(U.system, None, U.kind, masks)
+
+
 def _whole(system, window, kind) -> SetFamily:
-    """The one-element family {X} of this kind on a word carrier, its
-    caches seeded."""
-    size = systems.word_universe(system, window).count
+    """The one-element family {X} of this kind on the carrier of (system,
+    window), window None on a point carrier, its caches seeded."""
+    size = system.point_count if window is None else systems.word_universe(system, window).count
     fam = SetFamily(system, window, kind, (bitsets.full_mask(size),))
     return _seeded(fam, np.zeros(size, dtype=np.int64), np.arange(size))
 
@@ -607,7 +568,5 @@ def pullback(phi: FactorMap, U: SetFamily) -> SetFamily:
         raise CarrierMismatch("family does not live on the codomain")
     if not U.system.is_word_system:
         raise FamilyError("pullback works on word carriers")
-    idx = phi.image_indices(U.window)
-    size = U.universe_size
-    masks = tuple(bitsets.preimage(m, size, idx) for m in U.elements)
-    return SetFamily(phi.domain, U.window + phi.block_length - 1, U.kind, masks)
+    window = U.window + phi.block_length - 1
+    return _read_through(U, phi.domain, window, phi.image_indices(U.window))

@@ -285,6 +285,26 @@ def test_pullback_commutes_with_join(gm):
     assert set(lhs.elements) == set(rhs.elements)
 
 
+def test_pullback_and_block_recode_read_through_preimages(gm):
+    # a partition's labels are gathered and a cover's masks preimaged; both
+    # give the preimage masks in U's order, with the caches of fresh masks
+    vertex = ce.sft([[1, 1, 0], [0, 0, 1], [1, 1, 0]])
+    phi = ce.FactorMap(gm, vertex, 2, (0, 1, 2))
+    for kind, words in (("partition", [["00", "01"], ["12"], ["20", "21"]]),
+                        ("cover", [["00", "01", "12"], ["12", "20", "21"]])):
+        U = ce.family_of_words(vertex, 2, words, kind)
+        idx = phi.image_indices(2)
+        want = tuple(bitsets.preimage(m, U.universe_size, idx) for m in U.elements)
+        got = ce.pullback(phi, U)
+        assert (got.system, got.window, got.kind, got.elements) == (gm, 3, kind, want)
+        assert_seeded_caches_match_fresh(got)
+        V = ce.family_of_words(gm, 3, [["000", "001", "010"], ["100", "101"]], kind)
+        rec = ce.block_recode(V, 2)
+        assert (rec.system, rec.window, rec.kind) == (ce.power_system(gm, 2), 2, kind)
+        assert rec.elements == ce.extend_window(V, 4).elements
+        assert_seeded_caches_match_fresh(rec)
+
+
 @st.composite
 def point_cover_pair(draw):
     n = draw(st.integers(3, 7))
@@ -352,14 +372,27 @@ def test_partition_labels_match_per_mask_definition(labels):
 
 
 def mask_product_join(U, M, N):
-    """⋁_{n=M}^{N} T^{-n} U on a word carrier as the pairwise product of the
-    element masks at every offset: the path covers take."""
-    window = (N - M) + U.window
-    memberships = families._position_membership(U, range(N - M + 1), window)
-    live = memberships[0]
-    for pos in memberships[1:]:
+    """(window, kind, elements) of ⋁_{n=M}^{N} T^{-n} U as the literal
+    pairwise product of the element masks at every n: on a word carrier U
+    placed at offset n - M of window (N - M) + L, on a point carrier the
+    preimages of U's masks under the n-th power of the permutation."""
+    if U.system.is_word_system:
+        window = (N - M) + U.window
+        offsets = [ce.view_in_window(U, n - M, window).elements for n in range(M, N + 1)]
+    else:
+        window, mapping = None, U.system.mapping
+
+        def power(x, n):
+            for _ in range(n):
+                x = mapping[x]
+            return x
+
+        offsets = [[sum(1 << x for x in range(len(mapping)) if m >> power(x, n) & 1)
+                    for m in U.elements] for n in range(M, N + 1)]
+    live = offsets[0]
+    for pos in offsets[1:]:
         live = [c & m for c in live for m in pos if c & m]
-    return window, families._merge_masks(live)
+    return window, U.kind, families._merge_masks(live)
 
 
 def assert_seeded_caches_match_fresh(J):
@@ -395,26 +428,16 @@ def word_partitions(draw):
 def test_label_joins_equal_the_mask_product(case):
     U, V, M, N = case
     J = ce.dynamical_join(U, M, N)
-    assert (J.window, J.elements) == mask_product_join(U, M, N)
+    assert (J.window, J.kind, J.elements) == mask_product_join(U, M, N)
     assert_seeded_caches_match_fresh(J)
     P = ce.join(U, V)
     assert P.elements == families._merge_masks(u & v for u in U.elements for v in V.elements)
     assert_seeded_caches_match_fresh(P)
 
 
-def test_dynamical_join_reranks_codes_before_they_overflow(gm, monkeypatch):
-    # 144 cells at 9 offsets: 144**9 > 2**62, so the codes are re-ranked once
-    ranks = []
-    unique = np.unique
-
-    def spy(codes, **kwargs):
-        if kwargs == {"return_inverse": True}:
-            ranks.append(len(codes))
-        return unique(codes, **kwargs)
-
-    monkeypatch.setattr(np, "unique", spy)
+def test_dynamical_join_of_many_cells_is_the_longer_cylinder_partition(gm):
+    # 144 cells at 9 offsets: 144**9 label sequences overflow any int64 code
     J = ce.dynamical_join(ce.cylinder_partition(gm, 10), 0, 8)
-    assert len(ranks) == 1
     assert J.elements == ce.cylinder_partition(gm, 18).elements
 
 
@@ -460,16 +483,33 @@ def step_join_cases(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(step_join_cases())
-def test_step_built_joins_equal_the_one_shot_join(case):
+@given(step_join_cases(), st.integers(1, 3))
+def test_step_built_joins_equal_the_mask_product(case, M):
     U, beta = case
-    for N in range(1, 7):
+    for N in range(2, 7):
         uj, bj = dynamic_entropy._joined_pair(U, beta, N)
         for got, F in ((uj, U), (bj, beta)):
-            want = ce.dynamical_join(F, 0, N - 1)
-            assert (got.window, got.kind, got.elements) == (want.window, want.kind, want.elements)
+            assert (got.window, got.kind, got.elements) == mask_product_join(F, 0, N - 1)
             assert_seeded_caches_match_fresh(got)
-            assert_seeded_caches_match_fresh(want)
+            shifted = ce.dynamical_join(F, M, M + N - 1)
+            assert (shifted.window, shifted.kind, shifted.elements) == (
+                mask_product_join(F, M, M + N - 1))
+            assert_seeded_caches_match_fresh(shifted)
+
+
+def test_word_joins_are_kept_on_the_family(gm):
+    U = ce.cylinder_partition(gm, 1)
+    for M, N in ((0, 0), (1, 1), (2, 5), (0, 3), (4, 7), (1, 6)):
+        assert ce.dynamical_join(U, M, N) is ce.dynamical_join(U, 0, N - M)
+
+
+def test_rate_loop_reuses_the_joins_of_a_one_shot_call(gm):
+    U, X = ce.cylinder_partition(gm, 1), ce.trivial_partition(gm, 1)
+    J = ce.dynamical_join(U, 2, 5)
+    with mock.patch.object(families, "join_step", wraps=families.join_step) as spy:
+        ce.covering_rate(U, X, n_max=4)
+    assert [call.args[0] is X for call in spy.call_args_list] == [True] * 3
+    assert dynamic_entropy._joined_pair(U, X, 4)[0] is J
 
 
 def test_one_element_families_join_to_one_element(gm, three_points):
@@ -481,6 +521,8 @@ def test_one_element_families_join_to_one_element(gm, three_points):
         assert families.join_step(X, ce.dynamical_join(X, 0, 2), 3).elements == (
             ce.dynamical_join(X, 0, 3).elements)
     X = ce.trivial_partition(three_points[0])
+    for trivial in (X, ce.trivial_partition(gm), ce.trivial_partition(gm, 3)):
+        assert_seeded_caches_match_fresh(trivial)
     assert ce.dynamical_join(X, 2, 5) is X
     assert families.join_step(X, X, 1) is X
 
