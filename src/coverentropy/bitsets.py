@@ -50,12 +50,6 @@ def unpack_masks(masks) -> tuple[np.ndarray, np.ndarray]:
     return which, pos + np.array(shifts, dtype=np.int64)[which]
 
 
-def preimage(mask: int, size: int, index_map: np.ndarray) -> int:
-    """The positions j whose image index_map[j] lies in `mask`, a set over a
-    universe of `size` elements."""
-    return mask_from_bools(bools_from_mask(mask, size)[index_map])
-
-
 def full_mask(size: int) -> int:
     return (1 << size) - 1
 

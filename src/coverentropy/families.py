@@ -3,47 +3,34 @@ dynamical joins, window placement, ordered-difference partitions, the
 finer-partition enumeration, cover distance, and pullbacks.
 
 A family lives on one carrier: either the admissible words of a word system
-at a fixed window length, or the points of a permutation system.  Elements
-are bitmasks over that carrier's universe (see `bitsets`); the masks and
-their order are a family's identity, and a partition built from labels
-makes them only when `elements` is first read (see below).  The only
-derived membership view is the cached `SetFamily.incidence()`, the
-(element, word) pairs of every membership: numpy code indexes it instead of
-a dense element-by-word matrix.  At 8 bytes a membership it grows with the
-memberships, not with elements times words; a partition holds one
-membership per word.  Partitions also
-cache one label per word (`partition_labels`), and labels are the only way
-a partition enters an entropy formula of `static_entropy`: pairing two label
-arrays gives the cells of the join without building it as a family, and a
-partition computed on the fly, such as the glued minimizer of a cover, or
-every assignment of the finer-partition enumeration at once (route C), is
-written as labels and never validated as a `SetFamily`.
+at a fixed window length, or the points of a permutation system.  Its
+identity is the tuple of its element bitmasks over that universe (see
+`bitsets`), and what the library computes from is its memberships.
 
-Partitions are joined the same way: `join` pairs the labels of its two
-partitions, and the words that share a pair form a cell.  One helper,
-`_partition_from_codes`, turns such codes into labels, and one private
-constructor, `_from_labels`, turns labels into a partition: it checks them
-in O(words), seeds the new family's labels and incidence, and leaves its
-masks unmade until `elements` is read.  Nothing a rate loop calls reads
-them, so a join whose cells are single words holds O(words) memory, not
-cells x words bits.  A family read through an index map (`view_in_window`,
-`pullback`, `block_recode`) is a gather of a partition's labels through
-the same constructor, or the preimages of a cover's masks
-(`_read_through`).
+One rule: every family the library builds is made from its memberships by
+one private constructor, `_from_members`, and its masks are made on the
+first read of `elements`, `==`, `hash` or `repr`.  The memberships are a
+partition's labels, one cell per word (`partition_labels`), or a cover's
+cells, each element's ascending words in Python lists, where small families
+cost least.  From them comes the cached `SetFamily.incidence()`, the
+(element, word) pairs at 8 bytes each that numpy code indexes in place of
+an element-by-word matrix.  Only `SetFamily(system, window, kind, masks)`
+takes masks: it checks them, and unpacks them for its incidence.
 
-Every dynamical join U^N = ⋁_{n<N} T^{-n}U is built one window at a time.
+Families are joined by one product, `_product`: a word's cells in A ∨ B
+pair its holders in A and in B, each read through an index map when it
+lives on another carrier.  Two partitions pair their labels in numpy
+(`_partition_from_codes`); covers pair holders, and `_merged` drops empty
+cells, merges equal ones and keeps the canonical order: by size, then least
+word, then mask.  A family read through an index map (`view_in_window`,
+`pullback`, `block_recode`) gathers its holders and keeps its elements in
+order (`_read_through`); T^{-n}U on a point carrier gathers them through the
+permutation table (`_pulled`).
+
+Every dynamical join U^N = ⋁_{n<N} T^{-n}U is built one window at a time:
 U keeps the list of its joins, and `dynamical_join` steps each missing one
-from the one before with `join_step`, so a rate loop that asks for N = 1,
-2, ... in turn and a one-shot call share that list.  A step does O(1) new
-work per window: a partition's code of a word is its prefix's label in
-U^{N-1} (the prefix rows come with the word universe) paired with U's label
-of its last letters; a cover takes the mask product of U^{N-1}, extended by
-one letter, with U at the new offset.  A one-element family {X} joins to
-{X} at the new window with no lookup and no mask built from indices.  On a
-point carrier T^{-n}U is the preimage of U's masks under T^n (`_pulled`),
-and the join is the mask product: on the small point carriers in use, the
-numpy calls of the label path cost two to three times the product (see
-`dynamical_join`).
+from the one before with `join_step`, so rate loops and one-shot calls
+share it.  A step is one product of U^{N-1} with U at offset N.
 """
 
 from __future__ import annotations
@@ -86,7 +73,8 @@ class UStarBudgetExceeded(FamilyError):
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Ordered family of carrier subsets covering the whole carrier."""
+    """Ordered family of carrier subsets covering the whole carrier, its
+    masks checked; see the module docstring for the families built here."""
 
     system: SymbolicSystem
     window: Optional[int]  # None on point carriers
@@ -107,28 +95,22 @@ class SetFamily:
             raise FamilyError("elements do not cover the carrier")
         if self.kind == PARTITION and sum(map(int.bit_count, elements)) != size:
             raise FamilyError("partition elements are not pairwise disjoint")
+        object.__setattr__(self, "_count", len(elements))
 
     def _check_carrier(self):
         if self.kind not in (COVER, PARTITION):
             raise FamilyError(f"kind must be cover or partition, got {self.kind!r}")
-        if self.system.is_word_system:
-            if self.window is None or self.window < 1:
-                raise FamilyError("word-carrier families need a window length >= 1")
-        else:
-            if self.window is not None:
-                raise FamilyError("point-carrier families have no window")
+        if self.system.is_word_system and (self.window is None or self.window < 1):
+            raise FamilyError("word-carrier families need a window length >= 1")
+        if not self.system.is_word_system and self.window is not None:
+            raise FamilyError("point-carrier families have no window")
 
     def __getattr__(self, name):
-        # only a partition built from labels (`_from_labels`) lacks an
-        # attribute: its masks, made here on the first read of `elements`
-        ends = self.__dict__.get("_cache", {}).get("cell_ends")
-        if name != "elements" or ends is None:
+        # a family built from its memberships lacks only its masks, made
+        # here on the first read of `elements`
+        if name != "elements" or "_count" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        flat = self._cache["incidence"][1].tolist()
-        ends = ends.tolist()
-        masks = tuple(
-            bitsets.mask_from_indices(flat[lo:hi]) for lo, hi in zip([0] + ends, ends)
-        )
+        masks = tuple(map(bitsets.mask_from_indices, _cells(self)))
         object.__setattr__(self, "elements", masks)
         return masks
 
@@ -139,53 +121,110 @@ class SetFamily:
         return self.system.point_count
 
     def __len__(self) -> int:
-        ends = self._cache.get("cell_ends")
-        return len(self.elements) if ends is None else len(ends)
+        return self._count
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Every membership as parallel read-only int32 arrays (element
         index, universe index), sorted by element and then by universe index:
-        8 bytes per membership."""
+        8 bytes per membership.  Made once, from the cells or labels the
+        family was built from, or else by unpacking its masks."""
         inc = self._cache.get("incidence")
-        if inc is None:
-            inc = tuple(a.astype(np.int32) for a in bitsets.unpack_masks(self.elements))
-            for arr in inc:
-                arr.flags.writeable = False
-            self._cache["incidence"] = inc
+        if inc is not None:
+            return inc
+        cells, labels = self._cache.get("cells"), self._cache.get("labels")
+        if cells is not None:
+            lengths = [len(c) for c in cells]
+            words = np.fromiter(itertools.chain.from_iterable(cells), np.int32, sum(lengths))
+            elems = np.repeat(np.arange(len(cells), dtype=np.int32), lengths)
+        elif labels is not None:
+            order = np.argsort(labels, kind="stable")  # by element, then by word
+            elems, words = labels[order].astype(np.int32), order.astype(np.int32)
+        else:
+            elems, words = (a.astype(np.int32) for a in bitsets.unpack_masks(self.elements))
+        for arr in (elems, words):
+            arr.flags.writeable = False
+        self._cache["incidence"] = inc = (elems, words)
         return inc
 
     def element_words(self, m: int) -> list[tuple[int, ...]]:
         if not self.system.is_word_system:
             raise FamilyError("point-carrier family has no words")
         uni = systems.word_universe(self.system, self.window)
-        return [uni.word(i) for i in bitsets.iter_bits(self.elements[m])]
+        return [uni.word(i) for i in _cells(self)[m]]
+
+
+def _from_members(system, window, kind, n: int, labels=None, cells=None) -> SetFamily:
+    """The family of n elements, some possibly empty, with these memberships:
+    `labels`, an int64 array of each carrier word's one element (always so
+    for a partition), or `cells`, the ascending carrier indices of each
+    element.  Nothing is checked here (`_listed` and `_from_labels` check);
+    the masks are made on the first read of `elements` (`__getattr__`)."""
+    fam = object.__new__(SetFamily)
+    members = {"cells": cells} if labels is None else {"labels": labels}
+    fam.__dict__.update(system=system, window=window, kind=kind, _cache=members, _count=n)
+    return fam
+
+
+def _cells(U: SetFamily) -> list:
+    """The ascending carrier indices of each element of U (cached)."""
+    cells = U._cache.get("cells")
+    if cells is None:
+        elems, words = U.incidence()
+        ends = np.cumsum(np.bincount(elems, minlength=len(U))).tolist()
+        flat = words.tolist()
+        cells = U._cache["cells"] = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return cells
+
+
+def _holders(U: SetFamily) -> list:
+    """For each carrier index, the ascending elements of U that hold it."""
+    if U.kind == PARTITION:
+        return [[m] for m in partition_labels(U).tolist()]
+    holders = [[] for _ in range(U.universe_size)]
+    for m, cell in enumerate(_cells(U)):
+        for x in cell:
+            holders[x].append(m)
+    return holders
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
+def _listed(system, window, kind, elements) -> SetFamily:
+    """The family whose elements are these lists of carrier indices, checked
+    as `SetFamily` checks masks; an index may repeat."""
+    cells = [sorted(set(map(int, elem))) for elem in elements]
+    fam = _from_members(system, window, kind, len(cells), cells=cells)
+    fam._check_carrier()
+    if not cells:
+        raise FamilyError("a family needs at least one element")
+    size = fam.universe_size
+    flat = [x for cell in cells for x in cell]
+    if min(flat, default=0) < 0 or max(flat, default=0) >= size:
+        raise FamilyError("element mask outside the carrier universe")
+    if len(set(flat)) != size:
+        raise FamilyError("elements do not cover the carrier")
+    if kind == PARTITION and len(flat) != size:
+        raise FamilyError("partition elements are not pairwise disjoint")
+    return fam
+
+
 def family_of_words(sys: SymbolicSystem, window: int, elements, kind: str) -> SetFamily:
     """Build a family from lists of words (tuples or digit strings)."""
-    uni = systems.word_universe(sys, window)
-    masks = []
-    for elem in elements:
-        m = 0
-        for w in elem:
-            if isinstance(w, str):
-                w = tuple(int(ch) for ch in w)
-            m |= 1 << uni.index_of(w)
-        masks.append(m)
-    return SetFamily(sys, window, kind, tuple(masks))
+    index_of = systems.word_universe(sys, window).index_of
+    return _listed(sys, window, kind, [
+        [index_of(tuple(map(int, w)) if isinstance(w, str) else w) for w in elem]
+        for elem in elements
+    ])
 
 
 def family_of_points(sys: SymbolicSystem, elements, kind: str) -> SetFamily:
-    masks = tuple(bitsets.mask_from_indices(elem) for elem in elements)
-    return SetFamily(sys, None, kind, masks)
+    return _listed(sys, None, kind, elements)
 
 
 def trivial_partition(sys: SymbolicSystem, window: Optional[int] = None) -> SetFamily:
-    """The one-element partition {X}, its labels and incidence seeded."""
+    """The one-element partition {X}."""
     if sys.is_word_system:
         return _whole(sys, 1 if window is None else window, PARTITION)
     return _whole(sys, None, PARTITION)
@@ -194,7 +233,7 @@ def trivial_partition(sys: SymbolicSystem, window: Optional[int] = None) -> SetF
 def cylinder_partition(sys: SymbolicSystem, window: int = 1) -> SetFamily:
     """The partition of X into the admissible window-cylinders."""
     size = systems.word_universe(sys, window).count
-    return SetFamily(sys, window, PARTITION, tuple(1 << i for i in range(size)))
+    return _from_labels(sys, window, np.arange(size), size)
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +253,14 @@ def finer(U: SetFamily, V: SetFamily) -> bool:
     return all(any(u & ~v == 0 for v in V.elements) for u in U.elements)
 
 
-def _canonical_order(masks) -> tuple[int, ...]:
-    # reproducible order: by size, then least word index, then raw mask
-    def key(m):
-        return (m.bit_count(), (m & -m).bit_length(), m)
-
-    return tuple(sorted(masks, key=key))
-
-
-def _merge_masks(masks) -> tuple[int, ...]:
-    seen = []
-    have = set()
-    for m in masks:
-        if m and m not in have:
-            have.add(m)
-            seen.append(m)
-    return _canonical_order(seen)
-
-
 def partition_labels(fam: SetFamily) -> np.ndarray:
     """For a partition, the element index of every carrier word (cached)."""
     if fam.kind != PARTITION:
         raise FamilyError("labels exist for partitions only")
     lab = fam._cache.get("labels")
     if lab is None:
-        elems, words = bitsets.unpack_masks(fam.elements)
-        lab = np.full(fam.universe_size, -1, dtype=np.int64)
+        elems, words = fam.incidence()
+        lab = np.empty(fam.universe_size, dtype=np.int64)
         lab[words] = elems
         fam._cache["labels"] = lab
     return lab
@@ -262,9 +283,8 @@ def _partition_from_codes(system, window, codes: np.ndarray) -> SetFamily:
     """The partition whose cells are the carrier words that share a code.
 
     Cells are ordered by (size, least word) with one lexsort: cells are
-    disjoint, so no two tie on both and this is `_canonical_order`.  The
-    partition is built from its labels (`_from_labels`), so its masks are
-    made only if its elements are read."""
+    disjoint, so no two tie on both and this is the canonical order of
+    `_merged`."""
     _, first, cell, sizes = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True
     )
@@ -276,53 +296,55 @@ def _partition_from_codes(system, window, codes: np.ndarray) -> SetFamily:
 
 def _from_labels(system, window, labels: np.ndarray, n: int) -> SetFamily:
     """The partition of n cells, some possibly empty, that puts each carrier
-    word in cell labels[word].
-
-    The labels are checked in O(words) numpy in place of the mask checks of
-    `__post_init__`, and they are the family's membership: its labels and
-    incidence are seeded, and its masks are made on the first read of
-    `elements` (`SetFamily.__getattr__`), one `mask_from_indices` per cell.
-    A rate loop reads labels only, so it builds no W-bit mask per cell."""
-    fam = object.__new__(SetFamily)
-    for name, value in (("system", system), ("window", window), ("kind", PARTITION),
-                        ("_cache", {})):
-        object.__setattr__(fam, name, value)
+    word in cell labels[word], the labels checked in O(words) numpy."""
+    fam = _from_members(system, window, PARTITION, n, labels=labels)
     fam._check_carrier()
     if n < 1:
         raise FamilyError("a family needs at least one element")
     if len(labels) != fam.universe_size or np.any((labels < 0) | (labels >= n)):
         raise FamilyError("labels must give each carrier word a cell in 0..n-1")
-    words = np.argsort(labels, kind="stable")  # by cell, then by word
-    fam._cache["cell_ends"] = np.cumsum(np.bincount(labels, minlength=n))
-    return _seeded(fam, labels, words)
-
-
-def _seeded(fam: SetFamily, labels: np.ndarray, words: np.ndarray) -> SetFamily:
-    """fam with the incidence that `incidence()` would unpack from its masks
-    seeded into its cache, and a partition's labels too.  `labels` gives
-    each word's element and `words` lists the words by element, then by
-    index: every word belongs to exactly one element.  A partition built
-    from labels makes its masks from these words (`_from_labels`)."""
-    inc = (labels[words].astype(np.int32), words.astype(np.int32))
-    for arr in inc:
-        arr.flags.writeable = False
-    fam._cache["incidence"] = inc
-    if fam.kind == PARTITION:
-        fam._cache["labels"] = labels
     return fam
+
+
+def _merged(system, window, kind, cells) -> SetFamily:
+    """The family whose elements are the distinct nonempty cells, in the
+    canonical order: by size, then least word, then mask.  Two sets of equal
+    size compare as masks do when their words are read from the largest
+    down."""
+    distinct = {tuple(c): None for c in cells if c}
+    order = sorted(distinct, key=lambda c: (len(c), c[0], c[::-1]))
+    return _from_members(system, window, kind, len(order), cells=order)
+
+
+def _product(A: SetFamily, ia, B: SetFamily, ib, window) -> SetFamily:
+    """A ∨ B on the carrier of (A.system, window), A read through the index
+    map ia and B through ib (None reads a family on its own carrier): a
+    carrier word lies in cell (a, b) iff a holds ia[word] in A and b holds
+    ib[word] in B.  Empty intersections are dropped and duplicates merged.
+    Two partitions pair their labels and give a partition; otherwise the
+    holders are paired and the join is a cover."""
+    if A.kind == PARTITION and B.kind == PARTITION:
+        la, lb = partition_labels(A), partition_labels(B)
+        codes = (la if ia is None else la[ia]) * len(B) + (lb if ib is None else lb[ib])
+        return _partition_from_codes(A.system, window, codes)
+    ha, hb = _holders(A), _holders(B)
+    if ia is not None:
+        ha = [ha[i] for i in ia.tolist()]
+    if ib is not None:
+        hb = [hb[i] for i in ib.tolist()]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for word, (xs, ys) in enumerate(zip(ha, hb)):
+        for x in xs:
+            for y in ys:
+                cells.setdefault((x, y), []).append(word)
+    return _merged(A.system, window, COVER, cells.values())
 
 
 def join(U: SetFamily, V: SetFamily) -> SetFamily:
     """U ∨ V: nonempty pairwise intersections, duplicates merged, elements in
     canonical order.  A partition whenever both inputs are."""
-    if U.kind == PARTITION and V.kind == PARTITION:
-        # label pairing keeps partition joins linear in the carrier size
-        _require_same_carrier(U, V)
-        codes = partition_labels(U) * len(V) + partition_labels(V)
-        return _partition_from_codes(U.system, U.window, codes)
-    pairs = join_with_indices(U, V)
-    masks = _merge_masks(m for _, m in pairs)
-    return SetFamily(U.system, U.window, COVER, masks)
+    _require_same_carrier(U, V)
+    return _product(U, None, V, None, U.window)
 
 
 def view_in_window(U: SetFamily, offset: int, new_window: int) -> SetFamily:
@@ -345,17 +367,24 @@ def _subword_indices(system, length: int, offset: int, window: int) -> np.ndarra
     return systems.word_universe(system, length).indices_of_rows(rows)
 
 
+def _gathered(U: SetFamily, idx: np.ndarray) -> list:
+    """U's cells read through idx: index j joins cell m iff m holds idx[j]."""
+    holders = _holders(U)
+    cells = [[] for _ in range(len(U))]
+    for j, i in enumerate(idx.tolist()):
+        for m in holders[i]:
+            cells[m].append(j)
+    return cells
+
+
 def _read_through(U: SetFamily, system, window, idx: np.ndarray) -> SetFamily:
     """U read on the carrier of (system, window) through idx, which maps each
     carrier word to a word of U's carrier: a word lies in element m iff its
-    image does.  A partition's labels are gathered (`_from_labels`), so its
-    cells keep their order and count and a cell may become empty; a cover's
-    masks are preimaged.  Both give the elements of the preimage masks."""
+    image does.  Elements keep their order and count, and one may become
+    empty.  A partition's labels are gathered, a cover's holders."""
     if U.kind == PARTITION:
         return _from_labels(system, window, partition_labels(U)[idx], len(U))
-    size = U.universe_size
-    masks = tuple(bitsets.preimage(m, size, idx) for m in U.elements)
-    return SetFamily(system, window, U.kind, masks)
+    return _from_members(system, window, COVER, len(U), cells=_gathered(U, idx))
 
 
 def extend_window(U: SetFamily, new_window: int) -> SetFamily:
@@ -387,14 +416,7 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
     that asks for N = 1, 2, ... and a one-shot call share the list.  On a
     word carrier T^{-M} only moves the coordinates, so the join is entry
     N - M, at window (N - M) + L.  On a point carrier it is the preimage
-    under T^M of that entry (`_pulled`).
-
-    Point carriers keep the mask product, not labels.  They are small (the
-    property suites draw at most 10 points), and there the fixed cost of
-    the label path's numpy calls exceeds the whole product: for
-    `dynamical_join(beta, 1, 1)` on 4 to 10 points the label path took
-    33-37 us against 11-22 us (2-core x86-64 VM, Python 3.11, numpy 2.4).
-    """
+    under T^M of that entry (`_pulled`)."""
     if M < 0 or M > N:
         raise FamilyError("need 0 <= M <= N")
     # the list holds U, so it is kept only once a join is stepped: kept on
@@ -412,50 +434,36 @@ def dynamical_join(U: SetFamily, M: int, N: int) -> SetFamily:
 def join_step(U: SetFamily, J: SetFamily, n: int) -> SetFamily:
     """⋁_{i=0}^{n} T^{-i} U from J = ⋁_{i=0}^{n-1} T^{-i} U, for n >= 1.
 
-    On a word carrier every word of the new window is a word of J's window
-    with one letter appended, and its prefix's index is the universe's
-    `prefix` row.  A partition codes each word by J's label of its prefix
-    and U's label of its last U.window letters, so one offset lookup serves
-    the window; the codes stay below len(J) * len(U) and need no re-ranking.
-    A cover reads J through the prefix rows and takes the mask product with
-    U at offset n; a point carrier takes the product of J with T^{-n}U.
-    Empty intersections are dropped and duplicates merged, so the product
-    over every offset has the same distinct masks as this one."""
+    One `_product`: on a word carrier every word of the new window is a word
+    of J's window with one letter appended, so J is read through the
+    universe's `prefix` rows and U through the subwords at offset n; on a
+    point carrier J is read as it is and U through the table of T^n.  A
+    partition's codes stay below len(J) * len(U) and need no re-ranking."""
     if not U.system.is_word_system:
         if len(U) == 1:  # {X} is its own preimage
             return U
-        prefix, last, window = J, _pulled(U, n), None
-    else:
-        window = J.window + 1
-        if len(U) == 1:
-            return _whole(U.system, window, U.kind)
-        target = systems.word_universe(U.system, window)
-        if U.kind == PARTITION:
-            suffix = _subword_indices(U.system, U.window, n, window)
-            codes = partition_labels(J)[target.prefix] * len(U) + partition_labels(U)[suffix]
-            return _partition_from_codes(U.system, window, codes)
-        prefix = _read_through(J, U.system, window, target.prefix)
-        last = view_in_window(U, n, window)
-    masks = _merge_masks(c & m for c in prefix.elements for m in last.elements)
-    return SetFamily(U.system, window, U.kind, masks)
+        return _product(J, None, U, systems.permutation_power_table(U.system, n), None)
+    window = J.window + 1
+    if len(U) == 1:
+        return _whole(U.system, window, U.kind)
+    prefix = systems.word_universe(U.system, window).prefix
+    return _product(J, prefix, U, _subword_indices(U.system, U.window, n, window), window)
 
 
 def _pulled(U: SetFamily, n: int) -> SetFamily:
-    """T^{-n}U on a point carrier: the preimage of each element under T^n,
-    duplicates merged and in canonical order."""
+    """T^{-n}U on a point carrier: U's holders gathered through the table of
+    T^n, empty elements dropped and the rest in canonical order."""
     if n == 0 or len(U) == 1:  # {X} is its own preimage
         return U
-    size, table = U.universe_size, systems.permutation_power_table(U.system, n)
-    masks = _merge_masks(bitsets.preimage(m, size, table) for m in U.elements)
-    return SetFamily(U.system, None, U.kind, masks)
+    table = systems.permutation_power_table(U.system, n)
+    return _merged(U.system, None, U.kind, _gathered(U, table))
 
 
 def _whole(system, window, kind) -> SetFamily:
     """The one-element family {X} of this kind on the carrier of (system,
-    window), window None on a point carrier, its caches seeded."""
+    window), window None on a point carrier."""
     size = system.point_count if window is None else systems.word_universe(system, window).count
-    fam = SetFamily(system, window, kind, (bitsets.full_mask(size),))
-    return _seeded(fam, np.zeros(size, dtype=np.int64), np.arange(size))
+    return _from_members(system, window, kind, 1, labels=np.zeros(size, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +473,14 @@ def _whole(system, window, kind) -> SetFamily:
 def ext_partitions(U: SetFamily) -> Iterator[SetFamily]:
     """Ordered-difference partitions {U_σ1, U_σ2 ∖ U_σ1, ...} over all
     orderings σ of U, emitted lazily."""
-    full = bitsets.full_mask(U.universe_size)
+    holders = _holders(U)
     for order in itertools.permutations(range(len(U))):
-        remaining = full
-        cells = []
-        for i in order:
-            cell = U.elements[i] & remaining
-            cells.append(cell)
-            remaining &= ~cell
-        yield SetFamily(U.system, U.window, PARTITION, tuple(cells))
+        rank = [0] * len(U)
+        for r, m in enumerate(order):
+            rank[m] = r
+        # each word falls in the cell of its first holder in the order
+        labels = [min(map(rank.__getitem__, h)) for h in holders]
+        yield _from_labels(U.system, U.window, np.array(labels, dtype=np.int64), len(U))
 
 
 _LABEL_BLOCK = 256  # label rows that `UStarEnumeration.__iter__` holds at once
@@ -513,11 +520,8 @@ class UStarEnumeration:
     def __iter__(self) -> Iterator[SetFamily]:
         U = self.family
         for lo in range(0, self.total, _LABEL_BLOCK):
-            for row in self.labels(lo, lo + _LABEL_BLOCK).tolist():
-                cells = [0] * len(U)
-                for word, e in enumerate(row):
-                    cells[e] |= 1 << word
-                yield SetFamily(U.system, U.window, PARTITION, tuple(cells))
+            for row in self.labels(lo, lo + _LABEL_BLOCK):
+                yield _from_labels(U.system, U.window, row, len(U))
 
 
 def ustar_enumerate(U: SetFamily, budget: int = USTAR_BUDGET_DEFAULT) -> UStarEnumeration:

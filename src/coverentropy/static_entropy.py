@@ -244,17 +244,18 @@ def covering_number(U: SetFamily, beta: SetFamily) -> int:
             families.partition_labels(beta) * n + families.partition_labels(U)
         )
         return int(np.bincount(pairs // n).max())
-    # each atom is handed only the elements that meet it; every nonempty atom
-    # is met because U covers the carrier
-    elems, words = U.incidence()
-    atoms = families.partition_labels(beta)[words]
-    meeting: dict[int, dict[int, None]] = {}
-    for atom, e in zip(atoms.tolist(), elems.tolist()):
-        meeting.setdefault(atom, {})[e] = None  # elements ascending, once each
-    return max(
-        _min_cover_size(beta.elements[atom], [U.elements[e] for e in met])
-        for atom, met in meeting.items()
-    )
+    # each atom gets the masks, over its own words numbered in order, of the
+    # elements that meet it; every nonempty atom is met because U covers
+    atoms, size, local = families.partition_labels(beta).tolist(), {}, []
+    for atom in atoms:
+        local.append(size.get(atom, 0))
+        size[atom] = local[-1] + 1
+    meeting: dict[int, dict[int, int]] = {}
+    for e, w in zip(*(a.tolist() for a in U.incidence())):
+        met = meeting.setdefault(atoms[w], {})  # elements ascending
+        met[e] = met.get(e, 0) | 1 << local[w]
+    return max(_min_cover_size(bitsets.full_mask(size[atom]), list(met.values()))
+               for atom, met in meeting.items())
 
 
 def covering_number_exhaustive(U: SetFamily, beta: SetFamily) -> int:

@@ -165,6 +165,7 @@ def test_rate_loops_build_no_masks(full2, monkeypatch):
     masks are made when `elements` is first read."""
     built = []
     make = ce.bitsets.mask_from_indices
+    cells = ce.cylinder_partition(full2, 8).elements  # before the spy: reading makes masks
 
     def counted(indices):
         built.append(1)
@@ -179,7 +180,7 @@ def test_rate_loops_build_no_masks(full2, monkeypatch):
     ce.joined_cover_rate(ce.bernoulli(full2, [0.3, 0.7]), cyl, X, n_max=8)
     assert len(built) == 0
     last, _ = dynamic_entropy._joined_pair(cyl, X, 8)
-    assert last.elements == ce.cylinder_partition(full2, 8).elements  # per-word cells
+    assert last.elements == cells  # per-word cells
     assert len(built) == 2**8
 
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import tracemalloc
 from unittest import mock
@@ -15,6 +16,19 @@ from coverentropy import bitsets, dynamic_entropy, families, verify
 
 def masks_of(fam):
     return [list(bitsets.iter_bits(m)) for m in fam.elements]
+
+
+def merge_masks(masks):
+    """Oracle of the cover joins: the distinct nonempty masks, ordered by
+    size, then least word, then raw mask."""
+    distinct = {m: None for m in masks if m}
+    return tuple(sorted(distinct, key=lambda m: (m.bit_count(), (m & -m).bit_length(), m)))
+
+
+def preimage(mask, size, index_map):
+    """Oracle of the read-through families: the positions j whose image
+    index_map[j] lies in `mask`, a set over a universe of `size` elements."""
+    return bitsets.mask_from_bools(bitsets.bools_from_mask(mask, size)[index_map])
 
 
 def test_finer_basics(three_points, overlap_cover):
@@ -294,7 +308,7 @@ def test_pullback_and_block_recode_read_through_preimages(gm):
                         ("cover", [["00", "01", "12"], ["12", "20", "21"]])):
         U = ce.family_of_words(vertex, 2, words, kind)
         idx = phi.image_indices(2)
-        want = tuple(bitsets.preimage(m, U.universe_size, idx) for m in U.elements)
+        want = tuple(preimage(m, U.universe_size, idx) for m in U.elements)
         got = ce.pullback(phi, U)
         assert (got.system, got.window, got.kind, got.elements) == (gm, 3, kind, want)
         assert_seeded_caches_match_fresh(got)
@@ -392,7 +406,7 @@ def mask_product_join(U, M, N):
     live = offsets[0]
     for pos in offsets[1:]:
         live = [c & m for c in live for m in pos if c & m]
-    return window, U.kind, families._merge_masks(live)
+    return window, U.kind, merge_masks(live)
 
 
 def assert_seeded_caches_match_fresh(J):
@@ -431,7 +445,7 @@ def test_label_joins_equal_the_mask_product(case):
     assert (J.window, J.kind, J.elements) == mask_product_join(U, M, N)
     assert_seeded_caches_match_fresh(J)
     P = ce.join(U, V)
-    assert P.elements == families._merge_masks(u & v for u in U.elements for v in V.elements)
+    assert P.elements == merge_masks(u & v for u in U.elements for v in V.elements)
     assert_seeded_caches_match_fresh(P)
 
 
@@ -581,7 +595,7 @@ def test_label_built_partitions_equal_mask_built_ones(case):
         base = ce.systems.word_universe(U.system, U.window)
         target = ce.systems.word_universe(U.system, fam.window)
         idx = base.indices_of_rows(target.array[:, offset : offset + U.window])
-        assert fam.elements == tuple(bitsets.preimage(m, base.count, idx) for m in U.elements)
+        assert fam.elements == tuple(preimage(m, base.count, idx) for m in U.elements)
 
 
 def test_label_built_partition_rejects_bad_labels(gm):
@@ -606,6 +620,126 @@ def test_mask_checks_fire_each_message(gm):
     for masks, message in cases:
         with pytest.raises(families.FamilyError, match=message):
             families.SetFamily(gm, 2, "partition", masks)
+    # the list constructors check their indices in the same terms
+    points = ce.permutation([1, 2, 0])
+    for cells, message in (([[-1, 0], [1, 2]], "outside the carrier universe"),
+                           ([[0, 1, 2], [3]], "outside the carrier universe"),
+                           ([[0], [1]], "do not cover the carrier"),
+                           ([[0, 1], [1, 2]], "not pairwise disjoint"),
+                           ([], "at least one element")):
+        with pytest.raises(families.FamilyError, match=message):
+            ce.family_of_points(points, cells, "partition")
+    for words, message in (([["00"], ["01"]], "do not cover the carrier"),
+                           ([["00", "01"], ["01", "10"]], "not pairwise disjoint")):
+        with pytest.raises(families.FamilyError, match=message):
+            ce.family_of_words(gm, 2, words, "partition")
+
+
+def ext_partition_masks(U, order):
+    """Oracle of `ext_partitions`: the ordered differences of U's masks."""
+    remaining, cells = bitsets.full_mask(U.universe_size), []
+    for i in order:
+        cells.append(U.elements[i] & remaining)
+        remaining &= ~cells[-1]
+    return tuple(cells)
+
+
+@st.composite
+def built_families(draw):
+    """A family built by a library constructor, as a function that builds it
+    afresh, with the (system, window, kind, masks) of its mask-built twin.
+    The carrier is a word system at window 1 or 2 or a permutation of 2 to
+    8 points; list inputs repeat an index, hold numpy integers and, for a
+    cover, an empty element; input families are built from lists or masks."""
+    points = draw(st.booleans())
+    sys = None if points else draw(st.sampled_from(
+        [ce.full_shift(2), ce.golden_mean(), ce.full_shift(3)]))
+    if points:
+        n = draw(st.integers(2, 8))
+        sys, window, size = ce.permutation(draw(st.permutations(range(n)))), None, n
+    else:
+        window = draw(st.integers(1, 2 if sys.alphabet_size == 2 else 1))
+        size = ce.systems.word_universe(sys, window).count
+    uni = ce.systems.word_universe(sys, window) if window else None
+
+    def lists(kind):
+        labels = draw(st.lists(st.integers(0, min(size, 4) - 1), min_size=size, max_size=size))
+        cells = [[x for x in range(size) if labels[x] == c] for c in sorted(set(labels))]
+        if kind == "cover":
+            cells += draw(st.lists(st.lists(st.integers(0, size - 1), max_size=3), max_size=2))
+            cells.append([])
+        return [[np.int64(x) for x in c] + c[:1] for c in cells]
+
+    def built(kind, cells):
+        if window is None:
+            return lambda: ce.family_of_points(sys, cells, kind)
+        words = [[uni.word(int(x)) if x % 2 else "".join(map(str, uni.word(int(x))))
+                  for x in c] for c in cells]
+        return lambda: ce.family_of_words(sys, window, words, kind)
+
+    def family(kind):
+        cells = lists(kind)
+        masks = tuple(bitsets.mask_from_indices(set(map(int, c))) for c in cells)
+        if draw(st.booleans()):
+            return families.SetFamily(sys, window, kind, masks)
+        return built(kind, cells)()
+
+    how = draw(st.sampled_from(["lists", "cylinders", "ext", "ustar", "join", "join_step",
+                                "pulled"]))
+    kind = draw(st.sampled_from(["cover", "partition"]))
+    if how == "lists":
+        cells = lists(kind)
+        masks = tuple(bitsets.mask_from_indices(set(map(int, c))) for c in cells)
+        return built(kind, cells), (sys, window, kind, masks)
+    if how == "cylinders" and window is not None:
+        masks = tuple(1 << x for x in range(size))
+        return (lambda: ce.cylinder_partition(sys, window)), (sys, window, "partition", masks)
+    U = family(kind)
+    if how == "ext" and len(U) <= 4:
+        k = draw(st.integers(0, math.factorial(len(U)) - 1))
+        order = next(itertools.islice(itertools.permutations(range(len(U))), k, None))
+        return ((lambda: next(itertools.islice(ce.ext_partitions(U), k, None))),
+                (sys, window, "partition", ext_partition_masks(U, order)))
+    if how == "ustar" and ce.ustar_enumerate(U).total <= 512:
+        enum = ce.ustar_enumerate(U)
+        k = draw(st.integers(0, enum.total - 1))
+        row = enum.labels(k, k + 1)[0]
+        masks = tuple(bitsets.mask_from_indices(np.flatnonzero(row == m)) for m in range(len(U)))
+        return ((lambda: next(itertools.islice(iter(enum), k, None))),
+                (sys, window, "partition", masks))
+    if how == "join":
+        V = family(draw(st.sampled_from(["cover", "partition"])))
+        masks = merge_masks(u & v for u in U.elements for v in V.elements)
+        joined = "partition" if (U.kind, V.kind) == ("partition",) * 2 else "cover"
+        return (lambda: ce.join(U, V)), (sys, window, joined, masks)
+    n = draw(st.integers(1, 3))
+    if how == "pulled" and window is None and len(U) > 1:
+        return (lambda: families._pulled(U, n)), (sys, None) + mask_product_join(U, n, n)[1:]
+    if len(U) == 1 and window is None:  # {X} steps to itself, U
+        return (lambda: ce.trivial_partition(sys)), (sys, None, "partition", (U.elements[0],))
+    J = ce.dynamical_join(U, 0, n - 1)
+    return (lambda: families.join_step(U, J, n)), (sys,) + mask_product_join(U, 0, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_families())
+def test_constructor_built_families_equal_mask_built_ones(case):
+    make, (system, window, kind, masks) = case
+    ref = families.SetFamily(system, window, kind, masks)
+    with mock.patch.object(bitsets, "mask_from_indices", wraps=bitsets.mask_from_indices) as spy:
+        fams = [make() for _ in range(4)]
+        for fam in fams:
+            assert len(fam) == len(masks)
+            fam.incidence()
+            if kind == "partition":
+                families.partition_labels(fam)
+        assert spy.call_count == 0
+    # each of the four reads makes the masks of a family that has none yet
+    for fam, read in zip(fams, (lambda f: f.elements, lambda f: f == ref, hash, repr)):
+        assert "elements" not in fam.__dict__
+        assert read(fam) == read(ref)
+        assert fam.elements == masks and type(fam.elements) is tuple
+        assert_seeded_caches_match_fresh(fam)
 
 
 def test_partition_invariant_enforced(three_points):
@@ -614,3 +748,21 @@ def test_partition_invariant_enforced(three_points):
         ce.family_of_points(sys, [[0, 1], [1, 2]], "partition")
     with pytest.raises(families.FamilyError):
         ce.family_of_points(sys, [[0], [1]], "cover")  # does not cover
+
+
+def test_property_suites_unpack_no_masks_and_cover_rates_make_none(gm, parry):
+    """The static property suites never unpack masks, and a cover rate loop
+    makes none: every family they build comes from its memberships."""
+    specs = {s.name: s for s in verify.PROPERTIES}
+    names = ["static.route_equality", "static.entropy_axioms", "static.counting_axioms",
+             "static.counting_exactness", "static.concavity_in_measure"]
+    with mock.patch.object(bitsets, "unpack_masks", wraps=bitsets.unpack_masks) as unpack:
+        for name in names:
+            res = verify.run_property(specs[name], 42, 20)
+            assert (res.passed, res.tested) == (True, 20)
+    assert unpack.call_count == 0
+    U = ce.family_of_words(gm, 2, [["00", "10"], ["01", "10"]], "cover")
+    with mock.patch.object(bitsets, "mask_from_indices", wraps=bitsets.mask_from_indices) as made, \
+            mock.patch.object(bitsets, "mask_from_bools", wraps=bitsets.mask_from_bools) as packed:
+        ce.joined_cover_rate(parry, U, ce.cylinder_partition(gm, 1), n_max=6)
+    assert made.call_count == packed.call_count == 0

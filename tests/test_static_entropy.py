@@ -101,20 +101,39 @@ def test_covering_number_equals_one_iff_finer(three_points, overlap_cover):
     )
 
 
+def random_cover(rng, n, d):
+    labels = rng.integers(0, d, size=n)
+    elems = [set(np.nonzero(labels == m)[0].tolist()) for m in range(d)]
+    for m in range(d):
+        elems[m] |= set(np.nonzero(rng.random(n) < 0.3)[0].tolist())
+    return [sorted(e) for e in elems if e]
+
+
 def test_covering_number_matches_exhaustive_randoms():
     rng = np.random.default_rng(3)
+    atoms = np.random.default_rng(4)  # the conditioners draw apart from the covers
     for _ in range(50):
         n = int(rng.integers(3, 9))
         sys = ce.permutation(list(rng.permutation(n)))
-        d = int(rng.integers(2, 7))
-        labels = rng.integers(0, d, size=n)
-        elems = [set(np.nonzero(labels == m)[0].tolist()) for m in range(d)]
-        for m in range(d):
-            elems[m] |= set(np.nonzero(rng.random(n) < 0.3)[0].tolist())
-        elems = [sorted(e) for e in elems if e]
-        U = ce.family_of_points(sys, elems, "cover")
-        X = ce.trivial_partition(sys)
-        assert ce.covering_number(U, X) == ce.covering_number_exhaustive(U, X)
+        U = ce.family_of_points(sys, random_cover(rng, n, int(rng.integers(2, 7))), "cover")
+        lab = atoms.integers(0, int(atoms.integers(2, 5)), size=n)
+        beta = ce.family_of_points(
+            sys, [np.flatnonzero(lab == c).tolist() for c in np.unique(lab)], "partition")
+        for b in (ce.trivial_partition(sys), beta):
+            assert ce.covering_number(U, b) == ce.covering_number_exhaustive(U, b)
+    # word carriers, conditioned on partitions built from labels: the atoms
+    # of the first letter, and those of the first and last letters
+    for sys in (ce.full_shift(2), ce.golden_mean()):
+        cyl = ce.cylinder_partition(sys, 1)
+        first = ce.extend_window(cyl, 3)
+        ends = ce.join(first, ce.view_in_window(cyl, 2, 3))
+        assert all("elements" not in b.__dict__ for b in (first, ends))  # no masks yet
+        size = ce.systems.word_universe(sys, 3).count
+        for _ in range(20):
+            cells = random_cover(rng, size, int(rng.integers(2, 7)))
+            U = families.SetFamily(sys, 3, "cover", tuple(map(bitsets.mask_from_indices, cells)))
+            for b in (first, ends):
+                assert ce.covering_number(U, b) == ce.covering_number_exhaustive(U, b)
 
 
 def test_covering_number_of_partition_is_largest_cell_count():
