@@ -203,11 +203,11 @@ def _build_family(sys, desc) -> families.SetFamily:
         elements = desc["elements"]
         if sys.is_word_system:
             lengths = {len(str(w)) for elem in elements for w in elem}
-            if len(lengths) != 1:
+            if len(lengths) > 1:
                 raise ConfigError(
                     "INVALID_FAMILY", "family words must share one window length"
                 )
-            window = desc.get("window", lengths.pop())
+            window = desc.get("window", min(lengths, default=1))  # no words: refused
             return families.family_of_words(sys, window, elements, kind)
         return families.family_of_points(sys, elements, kind)
 

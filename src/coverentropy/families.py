@@ -248,9 +248,11 @@ def _require_same_carrier(U: SetFamily, V: SetFamily):
 
 
 def finer(U: SetFamily, V: SetFamily) -> bool:
-    """True iff every element of U sits inside some element of V."""
+    """True iff every element of U sits inside some element of V: its words share a holder."""
     _require_same_carrier(U, V)
-    return all(any(u & ~v == 0 for v in V.elements) for u in U.elements)
+    held = _holders(V)
+    return all(set(held[cell[0]]).intersection(*(held[x] for x in cell[1:]))
+               for cell in _cells(U) if cell)
 
 
 def partition_labels(fam: SetFamily) -> np.ndarray:
@@ -559,10 +561,7 @@ def family_delta(mu, U: SetFamily, V: SetFamily) -> FamilyDelta:
     if len(U) != len(V):
         raise FamilyError("cover distance needs equal element counts")
     w = measures.family_weights(mu, U)
-    total = 0.0
-    for u, v in zip(U.elements, V.elements):
-        total += measures.mask_mass(w, u ^ v)
-    return FamilyDelta(total)
+    return FamilyDelta(sum(measures.mask_mass(w, u ^ v) for u, v in zip(U.elements, V.elements)))
 
 
 def pullback(phi: FactorMap, U: SetFamily) -> SetFamily:

@@ -55,6 +55,8 @@ def stationary_of(P) -> np.ndarray:
     """The unique stationary probability vector of a chain with a single
     recurrent class (transient states get mass 0)."""
     P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise MeasureError(f"P must be a square matrix, not of shape {P.shape}")
     _check_rows_stochastic(P)
     classes = recurrent_classes(P)
     if len(classes) != 1:
@@ -150,15 +152,23 @@ class InvariantMeasure:
             raise MeasureError(f"unknown measure kind {self.kind!r}")
 
 
+def _per_letter(sys: SymbolicSystem, name: str, x, ndim: int) -> np.ndarray:
+    """x as floats, one entry per letter of a word system on each of ndim axes."""
+    x, shape = np.asarray(x, dtype=float), (sys.alphabet_size,) * ndim
+    if sys.is_word_system and x.shape != shape:
+        raise MeasureError(f"{name} must have shape {shape} for the letters, not {x.shape}")
+    return x
+
+
 def markov(sys: SymbolicSystem, P, pi=None) -> InvariantMeasure:
-    P = np.asarray(P, dtype=float)
-    pi = stationary_of(P) if pi is None else np.asarray(pi, dtype=float)
+    P = _per_letter(sys, "P", P, 2)
+    pi = stationary_of(P) if pi is None else _per_letter(sys, "pi", pi, 1)
     return InvariantMeasure(MARKOV, sys, pi=pi, P=P)
 
 
 def bernoulli(sys: SymbolicSystem, p) -> InvariantMeasure:
     """Memoryless measure: every row of P equals p (full shifts)."""
-    p = np.asarray(p, dtype=float)
+    p = _per_letter(sys, "p", p, 1)
     P = np.tile(p, (sys.alphabet_size, 1))
     return InvariantMeasure(MARKOV, sys, pi=p.copy(), P=P)
 

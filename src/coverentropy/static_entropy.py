@@ -22,17 +22,16 @@ there in every ordering, so it leaves the atom before the overlap components
 are found, whatever their size, and d below counts distinct elements.  The
 components of all atoms, whose orderings do not interact, are found in one
 union-find.  Every component of at most DP_MAX = 16 elements is solved
-exactly, batched over components of one size D, those of fewer than 4
-elements padded to 4, in groups small enough that one solve holds a bounded
-amount of memory.  A zeta transform gives the masses.  For D <= _ORDER_MAX
-= 5, one vectorised pass of gathers then sums the step costs of all D!
-orderings and takes the least; for larger D, a layered subset DP in the
-style of Held-Karp finds it in O(D 2^D) per component, whatever the number
-of words.  Both return the same minima bit for bit.  On a 2-core x86_64 VM
-the enumeration took a third to a half of the DP's time at D = 4 and 5 for
-1 to 233 components (0.7-0.85 at 1000); at D = 6 it won only up to about
-30 components and took 1.7-1.8 times the DP's time at 100 and 233; at D =
-7 it lost past one component.  Neither reads the node budget.  Only a component
+exactly, batched over components of one size D, in groups small enough that
+one solve holds a bounded amount of memory; components of at most 4 elements
+share groups, each solved at the size of its largest component.  A zeta
+transform gives the masses.  For D <= _ORDER_MAX = 5, one vectorised pass of
+gathers then sums the step costs of all D! orderings and takes the least;
+for larger D, a layered subset DP in the style of Held-Karp finds it in
+O(D 2^D) per component, whatever the number of words.  Both return the same
+minima bit for bit.  On a 2-core x86_64 VM the enumeration took a third to a
+half of the DP's time at D = 4 and 5, and lost to it past about 30
+components at D = 6 and past one at D = 7.  Neither reads the node budget.  Only a component
 of more than DP_MAX elements goes to `_minimize_component`: a mass-greedy
 incumbent, then a best-first search that returns the greedy value as a
 flagged upper bound when the budget runs out.  In the acceptance scenarios
@@ -442,13 +441,14 @@ def _component_labels(holders, n_rows: int) -> list[int]:
 
 # Components of at most DP_MAX elements are solved exactly by batched subset
 # DPs, whatever the search budget; larger ones go to `_minimize_component`.
-# A component of fewer than _DP_MIN elements is padded to _DP_MIN.  One DP
-# holds at most _DP_CHUNK (component, set) entries per array and at most
-# _DP_CHUNK (component, set, element) costs at once; for D <= _ORDER_MAX it
-# enumerates the D! orderings instead, in row chunks that hold at most
-# _DP_CHUNK step costs and _DP_CHUNK (component, ordering) sums at once.
+# Components of at most _DP_SHARED elements share groups, padded only to the
+# largest of their group, as padding adds +0.0 step costs and keeps the first
+# minimal ordering.  One DP holds at most _DP_CHUNK (component, set) entries
+# per array and at most _DP_CHUNK (component, set, element) costs at once; for
+# D <= _ORDER_MAX it enumerates the D! orderings instead, in row chunks that
+# hold at most _DP_CHUNK step costs and _DP_CHUNK (component, ordering) sums.
 DP_MAX = 16
-_DP_MIN = 4
+_DP_SHARED = 4
 _DP_CHUNK = 1 << 16
 _ORDER_MAX = 5
 
@@ -652,13 +652,13 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
             holders.setdefault(x, []).append(r)
     comp_of_row = _component_labels(holders.values(), len(kept))
     # each component's rows, ascending (a row's slot is its rank there), and
-    # its padded size D, or 0 past DP_MAX
+    # its size, or 0 past DP_MAX
     comp_rows: list[list] = [[] for _ in range(max(comp_of_row, default=-1) + 1)]
     slot = []
     for r, c in enumerate(comp_of_row):
         slot.append(len(comp_rows[c]))
         comp_rows[c].append(r)
-    dims = [max(len(rs), _DP_MIN) if len(rs) <= DP_MAX else 0 for rs in comp_rows]
+    dims = [len(rs) if len(rs) <= DP_MAX else 0 for rs in comp_rows]
 
     # each word, ascending: in a component of at most DP_MAX elements, its
     # holder pattern and its run of the gather; in a larger one, its holders
@@ -675,21 +675,17 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
             gather += held
         else:
             comp_words[c].append((x, held))
-    # the components by padded size D, in groups of one size and at most
-    # max(1, _DP_CHUNK >> D) components, so that one DP holds a bounded number
-    # of regions; a group's words run by component, then by word
-    groups, prev, place = [], 0, 0
-    for c in sorted((c for c, D in enumerate(dims) if D), key=dims.__getitem__):
-        D = dims[c]
-        place = place + 1 if D == prev else 0  # inside its size
-        prev, local = D, place % max(1, _DP_CHUNK >> D)  # inside its group
-        if local == 0:
-            groups.append((D, [], [], []))
-        groups[-1][1].append(c)
-        for i, pattern in comp_words[c]:
-            groups[-1][2].append(i)
-            groups[-1][3].append((local << D) + pattern)
-    groups = [(D, ints(cs), ints(ws), ints(ks), len(cs) << D) for D, cs, ws, ks in groups]
+    # the components by size, in groups of at most max(1, _DP_CHUNK >> d)
+    # components of one size d, or of sizes up to d = _DP_SHARED, so that one
+    # DP holds a bounded number of regions; a group is solved at the size D of
+    # its last, largest component, and its words run by component, then by word
+    order, groups = sorted((c for c, d in enumerate(dims) if d), key=dims.__getitem__), []
+    for d, run in itertools.groupby(order, key=lambda c: max(dims[c], _DP_SHARED)):
+        run, step = list(run), max(1, _DP_CHUNK >> d)
+        groups += [run[i : i + step] for i in range(0, len(run), step)]
+    groups = [(D, ints(cs), ints([i for c in cs for i, _ in comp_words[c]]),
+               ints([(local << D) + p for local, c in enumerate(cs) for _, p in comp_words[c]]),
+               len(cs) << D) for cs in groups for D in [dims[cs[-1]]]]
 
     # larger components: their memberships, for the best-first search
     big = []
@@ -739,12 +735,7 @@ def conditional_cover_entropy(
     # loop over many conditioners holds one plan at a time
     support, limits = w > 0.0, (DP_MAX, _DP_CHUNK)
     got = U._cache.get("solve_plan")
-    if (
-        got is None
-        or got[0] is not beta
-        or got[1] != limits
-        or not np.array_equal(got[2], support)
-    ):
+    if not (got and got[0] is beta and got[1] == limits and np.array_equal(got[2], support)):
         got = (beta, limits, support, _solve_plan(U, beta, w))
         U._cache["solve_plan"] = got
     plan = got[3]
@@ -753,7 +744,7 @@ def conditional_cover_entropy(
     comp_base = base_masses[plan.comp_atom]
     word_mass = w[plan.word_ids] / comp_base[plan.word_comp]
     values = np.zeros(len(comp_base))
-    rank = np.zeros((len(comp_base), max(DP_MAX, _DP_MIN)), dtype=np.int64)
+    rank = np.zeros((len(comp_base), DP_MAX), dtype=np.int64)
     for D, comps, ws, keys, length in plan.groups:
         regions = np.bincount(keys, weights=word_mass[ws], minlength=length)
         values[comps], rank[comps, :D] = _solve_dp(regions.reshape(-1, 1 << D), D)

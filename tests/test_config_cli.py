@@ -414,6 +414,28 @@ def test_letter_outside_the_alphabet_exits_2(tmp_path, capsys):
     assert "INVALID_FAMILY" in err and "outside" in err
 
 
+@pytest.mark.parametrize("measure, message", [
+    ({"kind": "markov", "P": [[1.0], [1.0]]}, "P must have shape (2, 2)"),
+    ({"kind": "markov", "P": [[0.5, 0.5]]}, "P must have shape (2, 2)"),
+    ({"kind": "markov", "P": [[0.8, 0.2], [1.0, 0.0]], "pi": [1.0]}, "pi must have shape (2,)"),
+    ({"kind": "bernoulli", "p": [1.0]}, "p must have shape (2,)"),
+], ids=["P-column", "P-row", "pi-short", "p-short"])
+def test_mis_shaped_measure_exits_2(tmp_path, capsys, measure, message):
+    # these used to end in an IndexError or a matmul error traceback
+    path = write_config(tmp_path, [], measures=dict(BASE_CONFIG["measures"], parry=measure))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "INVALID_MEASURE" in err and message in err
+
+
+def test_family_without_elements_exits_2(tmp_path, capsys):
+    fams = dict(BASE_CONFIG["families"], empty={"kind": "cover", "elements": []})
+    path = write_config(tmp_path, [], families=fams)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "INVALID_FAMILY" in err and "needs at least one element" in err
+
+
 def test_route_disagreement_still_exits_1(tmp_path, capsys, monkeypatch):
     # a RouteDisagreement is an EntropyError, but it stays an identity
     # violation: exit 1 and a FAILED row in the summary

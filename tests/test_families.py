@@ -47,6 +47,49 @@ def test_finer_needs_same_carrier(three_points, gm):
         ce.finer(U, V)
 
 
+@st.composite
+def family_pairs(draw):
+    """Two families on one carrier, a word system at window 1 or 2 or a
+    permutation of 2 to 8 points, built from index lists: each a partition
+    or a cover with extra and empty elements, the first often a join with the
+    second or the second itself, so that both answers of `finer` occur."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        sys, window, size = ce.permutation(list(range(n))), None, n
+    else:
+        sys = draw(st.sampled_from([ce.full_shift(2), ce.golden_mean(), ce.full_shift(3)]))
+        window = draw(st.integers(1, 2))
+        size = ce.systems.word_universe(sys, window).count
+
+    def family():
+        kind = draw(st.sampled_from(["cover", "partition"]))
+        labels = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        cells = [[x for x in range(size) if labels[x] == c] for c in sorted(set(labels))]
+        if kind == "cover":
+            cells += draw(st.lists(st.lists(st.integers(0, size - 1), max_size=size),
+                                   max_size=3))
+        if window is None:
+            return ce.family_of_points(sys, cells, kind)
+        uni = ce.systems.word_universe(sys, window)
+        return ce.family_of_words(sys, window, [[uni.word(x) for x in c] for c in cells], kind)
+
+    V = family()
+    how = draw(st.sampled_from(["free", "join", "same"]))
+    U = {"free": family, "join": lambda: ce.join(family(), V), "same": lambda: V}[how]()
+    return U, V
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_pairs())
+def test_finer_reads_memberships_and_matches_the_masks(pair):
+    U, V = pair
+    with mock.patch.object(bitsets, "mask_from_indices", wraps=bitsets.mask_from_indices) as spy:
+        got = ce.finer(U, V)
+    assert spy.call_count == 0
+    assert "elements" not in U.__dict__ and "elements" not in V.__dict__
+    assert got == all(any(u & ~v == 0 for v in V.elements) for u in U.elements)
+
+
 def test_join_example(three_points, overlap_cover):
     sys, _ = three_points
     V = ce.family_of_points(sys, [[0], [1, 2]], "partition")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ def test_non_finite_inputs_rejected(full2, bad):
         measures.InvariantMeasure(
             measures.PERMUTATION, sys, point_weights=np.array([bad, bad, 0.5])
         )
+
+
+@pytest.mark.parametrize("build, message", [
+    # a P of the wrong shape reached the strong components, a p or pi of the
+    # wrong length numpy's matmul
+    (lambda gm, full2: ce.markov(gm, [[1.0], [1.0]]), "P must have shape (2, 2)"),
+    (lambda gm, full2: ce.markov(gm, [[0.5, 0.5]]), "P must have shape (2, 2)"),
+    (lambda gm, full2: ce.markov(full2, [[0.5, 0.5], [0.5, 0.5]], pi=[1.0]),
+     "pi must have shape (2,)"),
+    (lambda gm, full2: ce.bernoulli(full2, [1.0]), "p must have shape (2,)"),
+    (lambda gm, full2: ce.bernoulli(full2, [[0.5, 0.5]]), "p must have shape (2,)"),
+    (lambda gm, full2: ce.stationary_of([[0.5, 0.5]]), "P must be a square matrix"),
+    (lambda gm, full2: ce.stationary_of([1.0]), "P must be a square matrix"),
+], ids=["P-column", "P-row", "pi-short", "p-short", "p-matrix", "stationary-row",
+        "stationary-vector"])
+def test_mis_shaped_measure_inputs_rejected(gm, full2, build, message):
+    with pytest.raises(measures.MeasureError, match=re.escape(message)):
+        build(gm, full2)
 
 
 def test_entropy_value_refuses_nan():

@@ -440,6 +440,60 @@ def test_ordering_enumeration_equals_the_layered_dp(data):
         )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_padding_keeps_minima_and_first_holders(data):
+    # components of at most 4 elements are solved at the size of the largest
+    # in their group: padding elements that hold nothing add +0.0 steps, and
+    # the first minimal ordering restricted to the real elements is theirs,
+    # so the minima are equal bit for bit and every pattern keeps its first
+    # holder, at every padded size up to _ORDER_MAX
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
+    regions = _padded_regions(data, d, n)
+
+    def first_holders(rank):
+        return [[min((i for i in range(d) if p >> i & 1), key=lambda i: rank[c, i])
+                 for p in range(1, 2**d)] for c in range(n)]
+
+    values, rank = static_entropy._solve_dp(regions, d)
+    for D in range(d, static_entropy._ORDER_MAX + 1):
+        padded = np.zeros((n, 2**D))
+        padded[:, : 2**d] = regions
+        padded_values, padded_rank = static_entropy._solve_dp(padded, D)
+        assert np.array_equal(padded_values, values)
+        assert first_holders(padded_rank) == first_holders(rank)
+
+
+def test_small_components_share_one_dp_at_their_largest_size(gm):
+    # the golden-mean cover of the variational benchmark, conditioned on the
+    # joined 1-cylinders: every component has one element, so each call
+    # makes one DP of D = 1
+    U = ce.family_of_words(gm, 2, [["00", "10"], ["01", "10"]], "cover")
+    beta = ce.cylinder_partition(gm, 1)
+    mu = ce.markov(gm, [[0.6, 0.4], [1.0, 0.0]])
+    with mock.patch.object(static_entropy, "_solve_dp",
+                           wraps=static_entropy._solve_dp) as solve, \
+            mock.patch.object(static_entropy, "conditional_cover_entropy",
+                              wraps=static_entropy.conditional_cover_entropy) as calls:
+        dynamic_entropy.joined_cover_rate(mu, U, beta, n_max=6)
+    assert calls.call_count == 6
+    assert [c.args[1] for c in solve.call_args_list] == [1] * 6
+    # one component of 1 element and one of 3 share one DP of D = 3
+    weights = [0.1, 0.2, 0.3, 0.15, 0.25]
+    sys = ce.permutation(list(range(5)))
+    elements = [{0}, {1, 2}, {2, 3}, {3, 4}]
+    U = ce.family_of_points(sys, [sorted(e) for e in elements], "cover")
+    with mock.patch.object(static_entropy, "_solve_dp",
+                           wraps=static_entropy._solve_dp) as solve:
+        v = ce.conditional_cover_entropy(ce.cycle_measure(sys, weights), U,
+                                         ce.trivial_partition(sys))
+    assert [c.args[1] for c in solve.call_args_list] == [3]
+    assert v.nats == pytest.approx(_cover_entropy_by_orderings(
+        weights, [frozenset(e) for e in elements], [frozenset(range(5))]
+    ), abs=1e-12)
+
+
 @pytest.mark.parametrize("D", range(1, static_entropy._ORDER_MAX + 3))
 def test_subset_dp_solves_each_component_alone(D):
     # a component's minimum and ranks do not depend on the other components
@@ -497,16 +551,16 @@ def test_many_16_element_components_hold_bounded_memory():
 
 
 @pytest.mark.parametrize("distinct, count, D", [
-    pytest.param([{0, 1, 2}], 15, 4, id="distinct0-4"),
+    pytest.param([{0, 1, 2}], 15, 1, id="distinct0-4"),
     pytest.param([{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}], 15, 6, id="distinct1-6"),
     # 40 elements, more than DP_MAX, in each atom: merged before the
     # components are found, they leave 2 for the DP and none for the search
-    pytest.param([{0, 1}, {1, 2}], 40, 4, id="distinct2-4"),
+    pytest.param([{0, 1}, {1, 2}], 40, 2, id="distinct2-4"),
 ])
 def test_identical_elements_leave_the_subset_dp(distinct, count, D):
     # 10 atoms of 3 points; in each, the `count` elements of the cover hold
     # only the sets in `distinct`, so each component is len(distinct)
-    # elements to the DP (at least 4), and its minimum is that of the
+    # elements to one DP of that size, and its minimum is that of the
     # distinct sets
     weights = [(1 + x % 3) / 60 for x in range(30)]
     sys = ce.permutation(list(range(30)))
