@@ -3,7 +3,7 @@
 Sets of words (or points) are plain Python ints used as bitmasks: bit i set
 means universe element i belongs to the set.  Universe order is fixed by the
 enumeration in `systems`, so masks are comparable across call sites.  numpy
-bridges (pack/unpack) keep mass computations vectorized.
+bridges (unpacking) keep mass computations vectorized.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ def mask_from_indices(indices) -> int:
     for i in indices:
         m |= 1 << int(i)
     return m
-
-
-def mask_from_bools(bools: np.ndarray) -> int:
-    packed = np.packbits(np.asarray(bools, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 def bools_from_mask(mask: int, size: int) -> np.ndarray:

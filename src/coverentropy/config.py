@@ -5,8 +5,10 @@ permutation carriers use point-index lists.
 Three tables hold the task schema: `TASK_KINDS` (the names and values a kind
 needs), `TASK_OPTIONS` (the options it forwards when they are set) and
 `TASK_RULES` (what every task key may hold); `DOCUMENT_RULES` does the same
-for the document's own keys.  `load_config` checks every key present, so a
-bad value is refused where the document enters.
+for the document's own keys, `DESCRIPTOR_RULES` for each kind of system,
+measure and family descriptor, and `FACTOR_MAP_RULES` for a factor map.
+`load_config` checks every key present, so a bad value is refused where the
+document enters.
 
 Errors carry machine-readable codes so the runner can map them to exit
 statuses: BAD_CONFIG (malformed document), NAME_UNRESOLVED (dangling
@@ -69,6 +71,9 @@ def _list_of(what, holds):
 
 
 _NAME = "a name", lambda v: isinstance(v, str)
+_LIST = "a list", lambda v: isinstance(v, list)
+_LIST_OR_NULL = "a list or null", lambda v: v is None or isinstance(v, list)
+_OBJECT = "an object", lambda v: isinstance(v, dict)
 _OBJECTS = "an object of objects", lambda v: isinstance(v, dict) and all(
     isinstance(d, dict) for d in v.values()
 )
@@ -96,12 +101,24 @@ TASK_RULES = {
 }
 DOCUMENT_RULES = {
     "seed": _integer(0),
-    "system": ("an object", lambda v: isinstance(v, dict)),
+    "system": _OBJECT,
     "measures": _OBJECTS,
     "families": _OBJECTS,
     "factor_maps": _OBJECTS,
-    "tasks": ("a list", lambda v: isinstance(v, list)),
+    "tasks": _LIST,
 }
+
+# what each key of a descriptor may hold, by descriptor and kind, besides
+# the kind itself; the object a descriptor builds checks the values further
+_FAMILY = {"elements": _LIST, "window": _integer(1), "on": _NAME}
+DESCRIPTOR_RULES = {
+    "system": {"full_shift": {"alphabet_size": _integer(1)}, "sft": {"transition": _LIST},
+               "permutation": {"mapping": _LIST}},
+    "measure": {"bernoulli": {"p": _LIST}, "markov": {"P": _LIST, "pi": _LIST_OR_NULL},
+                "cycles": {"weights": _LIST}},
+    "family": {families.PARTITION: _FAMILY, families.COVER: _FAMILY},
+}
+FACTOR_MAP_RULES = {"codomain": _OBJECT, "block_length": _integer(1), "code": _OBJECT}
 
 # the document section that a task's name keys refer to
 _SECTIONS = {"measure": "measures", "cover": "families", "conditioner": "families",
@@ -173,33 +190,39 @@ def _descriptor(what, code):
         raise ConfigError(code, str(e)) from e
 
 
+def _kind_of(desc, what):
+    """The kind of a `what` descriptor, once every other key holds the rule
+    of that kind in `DESCRIPTOR_RULES`."""
+    kind, kinds = desc["kind"], DESCRIPTOR_RULES[what]
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError("BAD_CONFIG", f"unknown {what} kind {kind!r}")
+    _check_keys({k: v for k, v in desc.items() if k != "kind"}, kinds[kind], f"{what} ")
+    return kind
+
+
 def _build_system(desc) -> systems.SymbolicSystem:
     with _descriptor("system", "INVALID_SYSTEM"):
-        kind = desc["kind"]
+        kind = _kind_of(desc, "system")
         if kind == "full_shift":
-            return systems.full_shift(int(desc["alphabet_size"]))
+            return systems.full_shift(desc["alphabet_size"])
         if kind == "sft":
             return systems.sft(desc["transition"])
-        if kind == "permutation":
-            return systems.permutation(desc["mapping"])
-    raise ConfigError("BAD_CONFIG", f"unknown system kind {kind!r}")
+        return systems.permutation(desc["mapping"])
 
 
 def _build_measure(sys, desc):
     with _descriptor("measure", "INVALID_MEASURE"):
-        kind = desc["kind"]
+        kind = _kind_of(desc, "measure")
         if kind == "bernoulli":
             return measures.bernoulli(sys, desc["p"])
         if kind == "markov":
             return measures.markov(sys, desc["P"], desc.get("pi"))
-        if kind == "cycles":
-            return measures.cycle_measure(sys, desc["weights"])
-    raise ConfigError("BAD_CONFIG", f"unknown measure kind {kind!r}")
+        return measures.cycle_measure(sys, desc["weights"])
 
 
 def _build_family(sys, desc) -> families.SetFamily:
     with _descriptor("family", "INVALID_FAMILY"):
-        kind = desc["kind"]
+        kind = _kind_of(desc, "family")
         elements = desc["elements"]
         if sys.is_word_system:
             lengths = {len(str(w)) for elem in elements for w in elem}
@@ -214,8 +237,9 @@ def _build_family(sys, desc) -> families.SetFamily:
 
 def _build_factor_map(sys, desc) -> systems.FactorMap:
     with _descriptor("factor map", "INVALID_SYSTEM"):
+        _check_keys(desc, FACTOR_MAP_RULES, "factor map ")
         codomain = _build_system(desc["codomain"])
-        b = int(desc["block_length"])
+        b = desc["block_length"]
         blocks = systems.word_universe(sys, b)
         table = desc["code"]
         code = []

@@ -175,6 +175,8 @@ def bernoulli(sys: SymbolicSystem, p) -> InvariantMeasure:
 
 def cycle_measure(sys: SymbolicSystem, cycle_weights) -> InvariantMeasure:
     """Weights are total masses per canonical cycle, spread uniformly."""
+    if sys.kind != systems.PERMUTATION:
+        raise MeasureError("cycle measures live on permutation systems")
     cycles = systems.permutation_cycles(sys)
     cw = np.asarray(cycle_weights, dtype=float)
     if len(cw) != len(cycles):

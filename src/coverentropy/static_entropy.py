@@ -31,13 +31,14 @@ for larger D, a layered subset DP in the style of Held-Karp finds it in
 O(D 2^D) per component, whatever the number of words.  Both return the same
 minima bit for bit.  On a 2-core x86_64 VM the enumeration took a third to a
 half of the DP's time at D = 4 and 5, and lost to it past about 30
-components at D = 6 and past one at D = 7.  Neither reads the node budget.  Only a component
-of more than DP_MAX elements goes to `_minimize_component`: a mass-greedy
-incumbent, then a best-first search that returns the greedy value as a
-flagged upper bound when the budget runs out.  In the acceptance scenarios
-that happens in criterion 7's windows 5 and 6 (32 and 64 elements) and in
-four components of 31 to 63 elements in criterion 10, which the search
-closes at its root.
+components at D = 6 and past one at D = 7.  Neither reads the node budget.
+Only a component of more than DP_MAX elements goes to `_minimize_component`:
+a mass-greedy incumbent, then a best-first search that bounds each new state
+once, batched per expansion in `_chord_bounds`, and returns the greedy value
+as a flagged upper bound when the budget runs out.
+In the acceptance scenarios that happens in criterion 7's windows 5 and 6
+(32 and 64 elements) and in four components of 31 to 63 elements in
+criterion 10, which the search closes at its root.
 
 All of that up to the masses depends only on the family pair and on which
 words have positive weight.  `_solve_plan` builds it in one Python pass over
@@ -308,109 +309,86 @@ def _mass_greedy(memb: np.ndarray, w: np.ndarray):
     return value, cells
 
 
+def _chord_bounds(memb: np.ndarray, w: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Admissible lower bounds on the cost still to pay from each state of one
+    component, a row of the words its ordering prefix covers.  Each final cell
+    mass is at most its element's residual cap and phi lies above its chord
+    through the origin, so the cost is at least the chord sum (each residual
+    word's weight times the least -log(cap) of its holders), the floor fill
+    (the least sum of phi over parts of at most the largest cap that fill the
+    residual mass) and phi of the residual mass; the bound is their largest."""
+    resw = np.where(covered, 0.0, w)
+    caps = resw @ memb.T.astype(float)
+    mrest = resw.sum(axis=1)
+    # a residual word's holders all have a positive cap, so the floor at
+    # _TINY only touches covered words, which weigh 0 here
+    lam = -np.log(np.minimum(np.maximum(caps, _TINY), 1.0))
+    holders = np.nonzero(memb.T)[1]  # by word: each word's run of holders
+    runs = memb.sum(axis=0)
+    per_word = np.minimum.reduceat(lam[:, holders], runs.cumsum() - runs, axis=1)
+    chord = (per_word * resw).sum(axis=1)
+    # floor fill: whole parts of the largest cap, which is 0 only when
+    # nothing weighs, then what is left
+    cmax = caps.max(axis=1)
+    parts = mrest // np.maximum(cmax, _TINY)
+    phi_cap, phi_left, phi_rest = _entr(np.array([cmax, mrest - parts * cmax, mrest]))
+    return np.maximum(np.maximum(chord, phi_left + parts * phi_cap), phi_rest)
+
+
 def _minimize_component(
     memb: np.ndarray, w: np.ndarray, node_budget: int
 ) -> tuple[float, list[np.ndarray], bool, int]:
     """Exact minimum of sum(phi(cell mass)) over orderings of one overlap
-    component.  Best-first search on union-of-prefix states with an
-    admissible chord lower bound; returns the mass-greedy value, not closed,
-    when the node budget runs out."""
+    component.  Best-first search on union-of-prefix states, each keyed by
+    the bytes of its covered-word row and bounded once by `_chord_bounds`,
+    taken at once for the children an expansion reaches more cheaply than
+    before; returns the mass-greedy value, not closed, when the node budget
+    runs out."""
     d, m = memb.shape
     incumbent, inc_cells = _mass_greedy(memb, w)
 
-    membmask = [bitsets.mask_from_bools(memb[i]) for i in range(d)]
-    full = bitsets.full_mask(m)
-
-    def floor_fill(mrest: float, cmax: float) -> float:
-        # min of sum(phi) over {x_i <= cmax, sum = mrest}; using any upper
-        # bound on the true max cell capacity keeps it admissible
-        if mrest <= 0.0:
-            return 0.0
-        if cmax <= 0.0:
-            return math.inf
-        k = int(mrest // cmax)
-        return k * phi(cmax) + phi(max(mrest - k * cmax, 0.0))
-
-    def chord_bound(state: int) -> float:
-        """Admissible: each final cell mass f_e <= residual cap c_e and phi
-        lies above its chord through the origin, so sum(phi) >= sum over
-        residual words of weight * min over holders of -log(cap)."""
-        res = ~state & full
-        if res == 0:
-            return 0.0
-        rbool = bitsets.bools_from_mask(res, m)
-        caps = (memb & rbool) @ w
-        pos = caps > 0.0
-        lam = np.full(d, np.inf)
-        lam[pos] = -np.log(np.minimum(caps[pos], 1.0))
-        per_word = np.where(memb[:, rbool], lam[:, None], np.inf).min(axis=0)
-        h1 = float((w[rbool] * per_word).sum())
-        mrest = float(w[rbool].sum())
-        return max(h1, floor_fill(mrest, float(caps.max(initial=0.0))), phi(mrest))
-
-    start = 0
-    heap = [(chord_bound(start), 0, 0.0, start, True)]
+    start = bytes(m)
+    heap = [(float(_chord_bounds(memb, w, np.zeros((1, m), dtype=bool))[0]), 0, 0.0, start)]
     best_g = {start: 0.0}
-    parents: dict[int, tuple[int, int]] = {}
+    parents: dict[bytes, tuple[bytes, int]] = {}
     nodes = 0
     tick = itertools.count(1)
-    closed = False
-    goal_state = None
     while heap:
-        f, _, g, state, fresh = heapq.heappop(heap)
-        if g > best_g.get(state, math.inf) + 1e-15:
+        f, _, g, state = heapq.heappop(heap)
+        if g > best_g[state] + 1e-15:
             continue
-        if state == full:
+        covered = np.frombuffer(state, dtype=bool)
+        if covered.all():
             if g < incumbent - 1e-15:
-                incumbent, goal_state = g, state
-            closed = True
+                incumbent, inc_cells = g, [np.zeros(m, dtype=bool) for _ in range(d)]
+                while state != start:
+                    state, i = parents[state]
+                    inc_cells[i] = memb[i] & ~np.frombuffer(state, dtype=bool)
             break
         if f >= incumbent - 1e-12:
-            # nothing cheaper left: the incumbent is optimal
-            closed = True
-            break
-        if not fresh:
-            # entry was pushed with the cheap bound; re-check with the chord
-            # bound before paying for an expansion
-            h = chord_bound(state)
-            if g + h > f + 1e-12:
-                if g + h < incumbent - 1e-12:
-                    heapq.heappush(heap, (g + h, next(tick), g, state, True))
-                continue
+            break  # nothing cheaper left: the incumbent is optimal
         nodes += 1
         if nodes > node_budget:
             break
-        rbool = bitsets.bools_from_mask(~state & full, m)
-        caps = (memb & rbool) @ w
-        cmax = float(caps.max(initial=0.0))
-        mrest = float(w[rbool].sum())
-        for i in range(d):
-            cap = float(caps[i])
-            if cap <= 0.0:
-                continue
-            nstate = state | membmask[i]
-            ng = g + phi(cap)
+        caps = (memb & ~covered) @ w
+        live = np.flatnonzero(caps > 0.0)
+        children = covered | memb[live]
+        keys = children.tobytes()
+        better = []  # the children that reach their state more cheaply
+        for j, i in enumerate(live.tolist()):
+            nstate = keys[j * m : (j + 1) * m]
+            ng = g + phi(float(caps[i]))
             if ng < best_g.get(nstate, math.inf) - 1e-15:
                 best_g[nstate] = ng
                 parents[nstate] = (state, i)
-                nmrest = mrest - cap
-                nh = max(floor_fill(nmrest, cmax), phi(max(nmrest, 0.0)))
-                nf = ng + nh
-                if nf < incumbent - 1e-12:
-                    heapq.heappush(heap, (nf, next(tick), ng, nstate, False))
-    else:
-        closed = True  # heap exhausted: incumbent can no longer be beaten
-
-    if goal_state is not None:
-        cells = [np.zeros(m, dtype=bool) for _ in range(d)]
-        state = goal_state
-        while state != 0:
-            prev, i = parents[state]
-            cell_mask = membmask[i] & ~prev
-            cells[i] = bitsets.bools_from_mask(cell_mask, m)
-            state = prev
-        return incumbent, cells, True, nodes
-    return incumbent, inc_cells, closed, nodes
+                better.append((j, ng, nstate))
+        if better:
+            bounds = _chord_bounds(memb, w, children[[j for j, _, _ in better]])
+            for (_, ng, nstate), h in zip(better, bounds.tolist()):
+                if ng + h < incumbent - 1e-12:
+                    heapq.heappush(heap, (ng + h, next(tick), ng, nstate))
+    # closed unless the budget ran out: an exhausted heap closes too
+    return incumbent, inc_cells, nodes <= node_budget, nodes
 
 
 def _component_labels(holders, n_rows: int) -> list[int]:

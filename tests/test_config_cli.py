@@ -387,6 +387,18 @@ def test_readme_tables_match_config():
     for header, rules in (("task key", config.TASK_RULES),
                           ("document key", config.DOCUMENT_RULES)):
         assert dict(tables[header]) == {key: rule for key, (rule, _) in rules.items()}
+    # a descriptor key shared by several kinds is one row naming them all
+    rows = {}
+    for what, kinds in config.DESCRIPTOR_RULES.items():
+        for kind, rules in kinds.items():
+            for key, (rule, _) in rules.items():
+                rows.setdefault((key, what, rule), []).append(kind)
+    rows.update({(key, "factor map", rule): []
+                 for key, (rule, _) in config.FACTOR_MAP_RULES.items()})
+    assert tables["descriptor key"] == [
+        [key, " ".join([what, ", ".join(kinds)]).strip(), rule]
+        for (key, what, rule), kinds in rows.items()
+    ]
 
 
 @pytest.mark.parametrize(
@@ -451,3 +463,56 @@ def test_route_disagreement_still_exits_1(tmp_path, capsys, monkeypatch):
     assert "identity violation" in capsys.readouterr().err
     rows = list(csv.reader(open(out / "summary.csv")))
     assert rows[1][2] == "FAILED"
+
+
+@pytest.mark.parametrize("section, name, desc, message", [
+    ("families", "overlap", {"kind": "cover", "elements": [["00", "01"], ["01", "10"]],
+                             "window": True}, "family window must be an integer >= 1"),
+    ("families", "overlap", {"kind": "cover", "elements": [["00", "01"], ["01", "10"]],
+                             "window": 1.0}, "family window must be an integer >= 1"),
+    ("families", "overlap", {"kind": "cover", "elements": [["00", "01"], ["01", "10"]],
+                             "window": "1"}, "family window must be an integer >= 1"),
+    ("families", "overlap", {"kind": "cover", "elements": [["00", "01"], ["01", "10"]],
+                             "windw": 2}, "unknown family key 'windw'"),
+    ("families", "overlap", {"kind": "kover", "elements": [["00"]]},
+     "unknown family kind 'kover'"),
+    ("measures", "lopsided", {"kind": "markov", "P": [[0.8, 0.2], [1.0, 0.0]], "p": [1.0]},
+     "unknown measure key 'p'"),
+    ("measures", "lopsided", {"kind": "markov", "P": 0.8}, "measure P must be a list"),
+    ("factor_maps", "identity", {"codomain": {"kind": "sft", "transition": [[1, 1], [1, 0]]},
+                                 "block_length": "1", "code": {"0": 0, "1": 1}},
+     "factor map block_length must be an integer >= 1"),
+    ("factor_maps", "identity", {"codomain": {"kind": "sft", "transition": [[1, 1], [1, 0]]},
+                                 "block_length": 1, "code": {"0": 0, "1": 1}, "on": "x"},
+     "unknown factor map key 'on'"),
+    ("factor_maps", "identity", {"codomain": {"kind": "full_shift", "alphabet_size": 2,
+                                              "transition": [[1, 1], [1, 1]]},
+                                 "block_length": 1, "code": {"0": 0, "1": 1}},
+     "unknown system key 'transition'"),
+], ids=["window-true", "window-float", "window-string", "family-typo", "family-kind",
+        "markov-stray-p", "markov-P-number", "block-length-string", "factor-map-stray",
+        "full-shift-transition"])
+def test_bad_descriptor_key_exits_2(tmp_path, capsys, section, name, desc, message):
+    # each of these used to run to exit 0, or to fail with an unrelated message
+    path = write_config(tmp_path, [a_task("h_top")],
+                        **{section: dict(BASE_CONFIG[section], **{name: desc})})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "BAD_CONFIG" in err and message in err
+    assert "Traceback" not in err and "task 0" not in err
+
+
+def test_alphabet_size_on_an_sft_exits_2(tmp_path, capsys):
+    system = dict(BASE_CONFIG["system"], alphabet_size=2)
+    path = write_config(tmp_path, [], system=system)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "BAD_CONFIG" in err and "unknown system key 'alphabet_size'" in err
+
+
+def test_cycle_measure_on_a_word_system_exits_2(tmp_path, capsys):
+    meas = dict(BASE_CONFIG["measures"], even={"kind": "cycles", "weights": [1.0]})
+    path = write_config(tmp_path, [], measures=meas)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "INVALID_MEASURE" in err and "cycle measures live on permutation systems" in err

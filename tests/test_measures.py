@@ -224,6 +224,11 @@ def test_cycle_measure_validates_constancy():
         )
 
 
+def test_cycle_measure_refuses_a_word_system(gm):
+    with pytest.raises(measures.MeasureError, match="cycle measures live on permutation systems"):
+        ce.cycle_measure(gm, [1.0])
+
+
 def test_pushforward_measure_weights(gm, parry):
     phi = ce.FactorMap(gm, ce.full_shift(2), 2, (0, 1, 1))
     nu = ce.pushforward(phi, parry)

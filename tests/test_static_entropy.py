@@ -697,6 +697,125 @@ def test_components_past_dp_max_match_all_orderings(data):
         assert got.nats == pytest.approx(v.nats, abs=1e-12)
 
 
+def _chord_bound_per_state(memb, w, covered):
+    """The search's former chord bound, taken one state at a time: the
+    oracle of the batched `_chord_bounds`."""
+    rbool = ~covered
+    if not rbool.any():
+        return 0.0
+    caps = (memb & rbool) @ w
+    pos = caps > 0.0
+    lam = np.full(len(memb), np.inf)
+    lam[pos] = -np.log(np.minimum(caps[pos], 1.0))
+    per_word = np.where(memb[:, rbool], lam[:, None], np.inf).min(axis=0)
+    with np.errstate(invalid="ignore"):
+        h1 = float((w[rbool] * per_word).sum())
+    mrest = float(w[rbool].sum())
+    cmax = float(caps.max(initial=0.0))
+    if mrest <= 0.0:
+        fill = 0.0
+    elif cmax <= 0.0:
+        fill = math.inf
+    else:
+        k = int(mrest // cmax)
+        fill = k * static_entropy.phi(cmax) + static_entropy.phi(max(mrest - k * cmax, 0.0))
+    return max(h1, fill, static_entropy.phi(mrest))
+
+
+def _cost_to_go(memb, w, covered):
+    """The least cost still to pay from a state, by brute force over the
+    orderings of the elements that still hold a residual word."""
+    m = len(w)
+    rows = [sum(1 << j for j in range(m) if r[j]) for r in memb]
+    cost = [static_entropy.phi(float(w[[j for j in range(m) if s >> j & 1]].sum()))
+            for s in range(1 << m)]
+    start = sum(1 << j for j in range(m) if covered[j])
+    left = [r for r in rows if r & ~start]
+    best = math.inf
+    for order in itertools.permutations(left):
+        state, total = start, 0.0
+        for r in order:
+            total += cost[r & ~state]
+            state |= r
+        best = min(best, total)
+    return best if left else 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chord_bounds_are_admissible_and_match_the_per_state_form(data):
+    # components of up to 7 elements, weights with ties and zeros, and a batch
+    # of states reached by placing a prefix of some ordering
+    d = data.draw(st.integers(1, 7))
+    m = data.draw(st.integers(1, 8))
+    memb = data.draw(hnp.arrays(bool, (d, m)))
+    memb[data.draw(st.lists(st.integers(0, d - 1), min_size=m, max_size=m)), range(m)] = True
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                    min_size=m, max_size=m).filter(any)))
+    w /= w.sum()
+    states = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        order = data.draw(st.permutations(range(d)))
+        placed = order[: data.draw(st.integers(0, d))]
+        states.append(np.any(memb[placed], axis=0) if placed else np.zeros(m, dtype=bool))
+    bounds = static_entropy._chord_bounds(memb, w, np.array(states))
+    assert bounds.shape == (len(states),)
+    for covered, bound in zip(states, bounds):
+        assert bound <= _cost_to_go(memb, w, covered) + 1e-12
+        # a residual word of weight 0 whose holders hold no residual mass makes
+        # the per-state chord sum 0 * inf; the search only meets positive
+        # weights, and the batched form counts such a word as 0
+        oracle = _chord_bound_per_state(memb, w, covered)
+        if not math.isnan(oracle):
+            assert bound == pytest.approx(oracle, abs=1e-12)
+
+
+def _search_log(monkeypatch):
+    """Wrap the best-first search: the list gets (closed, expansions) of
+    every search."""
+    searches, minimize = [], static_entropy._minimize_component
+
+    def search(memb, w, node_budget):
+        got = minimize(memb, w, node_budget)
+        searches.append(got[2:])
+        return got
+
+    monkeypatch.setattr(static_entropy, "_minimize_component", search)
+    return searches
+
+
+@pytest.mark.parametrize("p, value", [
+    ([1 / 3, 1 / 3, 1 / 3], 2.909840428611458),
+    ([0.25, 0.5, 0.25], 2.4042689430331237),
+])
+def test_search_out_of_budget_on_criterion_7_window_5(full3, monkeypatch, p, value):
+    # one component of 32 elements over 243 words; the search runs out of a
+    # budget of 2000 expansions and returns the mass-greedy value
+    searches = _search_log(monkeypatch)
+    U = ce.family_of_words(full3, 1, [["0", "1"], ["1", "2"]], "cover")
+    joined = ce.dynamical_join(U, 0, 4)
+    X = ce.extend_window(ce.trivial_partition(full3, 1), joined.window)
+    v = ce.conditional_cover_entropy(ce.bernoulli(full3, p), joined, X, node_budget=2000,
+                                     ustar_budget=0)
+    assert (v.nats, v.method, v.certificate) == (value, "heuristic_upper_bound", None)
+    assert searches == [(False, 2001)]
+
+
+def test_search_closes_on_golden_mean_window_5(gm, monkeypatch):
+    # the sample config's overlap2 | whole: one component of 20 elements over
+    # 21 words, which the search closes
+    searches = _search_log(monkeypatch)
+    U = ce.family_of_words(gm, 2, [["00", "01"], ["01", "10"]], "cover")
+    whole = ce.family_of_words(gm, 1, [["0", "1"]], "partition")
+    joined, beta = families.align_windows(ce.dynamical_join(U, 0, 4),
+                                          ce.dynamical_join(whole, 0, 4))
+    lopsided = ce.markov(gm, [[0.8, 0.2], [1.0, 0.0]])
+    v = ce.conditional_cover_entropy(lopsided, joined, beta, ustar_budget=0)
+    assert v.method == "branch_and_bound" and v.certificate == 0.0
+    assert v.nats == pytest.approx(2.118569287326931, abs=1e-9)
+    assert [closed for closed, _ in searches] == [True]
+
+
 def test_cover_entropy_partition_is_shannon(three_points):
     sys, mu = three_points
     alpha = ce.family_of_points(sys, [[0], [1, 2]], "partition")
