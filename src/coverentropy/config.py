@@ -232,6 +232,8 @@ def _build_family(sys, desc) -> families.SetFamily:
                 )
             window = desc.get("window", min(lengths, default=1))  # no words: refused
             return families.family_of_words(sys, window, elements, kind)
+        if "window" in desc:
+            raise ConfigError("INVALID_FAMILY", "point-carrier families have no window")
         return families.family_of_points(sys, elements, kind)
 
 

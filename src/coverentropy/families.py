@@ -261,10 +261,11 @@ def partition_labels(fam: SetFamily) -> np.ndarray:
         raise FamilyError("labels exist for partitions only")
     lab = fam._cache.get("labels")
     if lab is None:
-        elems, words = fam.incidence()
-        lab = np.empty(fam.universe_size, dtype=np.int64)
-        lab[words] = elems
-        fam._cache["labels"] = lab
+        lab = [0] * fam.universe_size  # a partition's cells hold every word
+        for m, cell in enumerate(_cells(fam)):
+            for x in cell:
+                lab[x] = m
+        lab = fam._cache["labels"] = np.array(lab, dtype=np.int64)
     return lab
 
 

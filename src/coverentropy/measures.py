@@ -138,15 +138,15 @@ class InvariantMeasure:
             if self.system.kind != systems.PERMUTATION:
                 raise MeasureError("cycle measures live on permutation systems")
             w = self.point_weights
-            if (
-                not np.all(np.isfinite(w))
-                or np.any(w < 0)
-                or abs(w.sum() - 1.0) > 1e-10
-            ):
+            # the least of 0 and the weights is 0 only when no weight is
+            # negative or NaN, and an infinity fails the sum, so two
+            # reductions check finiteness too
+            if not (w.min(initial=0.0) >= 0.0 and abs(w.sum() - 1.0) <= 1e-10):
                 raise MeasureError("point weights are not a probability vector")
+            vals = w.tolist()
             for cyc in systems.permutation_cycles(self.system):
-                vals = w[list(cyc)]
-                if np.max(vals) - np.min(vals) > 1e-12:
+                on_cycle = [vals[x] for x in cyc]
+                if max(on_cycle) - min(on_cycle) > 1e-12:
                     raise MeasureError("weights not constant on a cycle")
         else:
             raise MeasureError(f"unknown measure kind {self.kind!r}")
@@ -181,10 +181,12 @@ def cycle_measure(sys: SymbolicSystem, cycle_weights) -> InvariantMeasure:
     cw = np.asarray(cycle_weights, dtype=float)
     if len(cw) != len(cycles):
         raise MeasureError(f"need one weight per cycle ({len(cycles)} cycles)")
-    w = np.zeros(sys.point_count)
-    for cyc, mass in zip(cycles, cw):
-        w[list(cyc)] = mass / len(cyc)
-    return InvariantMeasure(PERMUTATION, sys, point_weights=w)
+    w = [0.0] * sys.point_count
+    for cyc, mass in zip(cycles, cw.tolist()):
+        share = mass / len(cyc)
+        for x in cyc:
+            w[x] = share
+    return InvariantMeasure(PERMUTATION, sys, point_weights=np.array(w))
 
 
 def uniform_cycle_measure(sys: SymbolicSystem) -> InvariantMeasure:

@@ -7,14 +7,17 @@ H(U) / H(U|beta) via exact minimization over ordered-difference partitions,
 cross-checked against the exhaustive finer-partition minimum whenever that
 enumeration is affordable.
 
-A partition enters every entropy formula here as one label per word, never
-as masks: `conditional_entropy` passes the cached `families.partition_labels`,
-route B of `conditional_cover_entropy` writes the glued minimizer's labels
-straight from the per-atom solutions, and route C scores every finer
-partition at once from the rows of `families.UStarEnumeration.labels`.  One
-`np.unique` of the label pairs (and candidates) gives the cells of the joins
-with beta, so no partition is built as a family, and the cost is linear in
-the labels whatever the number of atoms.
+A partition enters every entropy formula here as one cell per word, never
+as masks, and `_partition_entropy` is the one partition formula.
+`conditional_entropy` ranks the label pairs of alpha and beta with one
+`np.unique`.  Route B of `conditional_cover_entropy` gives each word the
+(atom, element) row of its holder in the glued minimizer; the plan numbers
+those rows densely, and they are the cells of the join with beta, so one
+`bincount` gives the cells without a sort.  Route C scores every finer
+partition at once from the rows of `families.UStarEnumeration.labels`, with
+one `np.unique` of the (candidate, atom, element) cells.  No partition is
+built as a family, and the cost is linear in the labels whatever the number
+of atoms.
 
 H(U|beta) is a minimization in each atom.  An element that holds the same
 positive-weight words of an atom as an earlier element gets an empty cell
@@ -24,7 +27,8 @@ components of all atoms, whose orderings do not interact, are found in one
 union-find.  Every component of at most DP_MAX = 16 elements is solved
 exactly, batched over components of one size D, in groups small enough that
 one solve holds a bounded amount of memory; components of at most 4 elements
-share groups, each solved at the size of its largest component.  A zeta
+share groups, each solved at the size of its largest component.  A group
+of one-element components takes phi of each mass.  Otherwise a zeta
 transform gives the masses.  For D <= _ORDER_MAX = 5, one vectorised pass of
 gathers then sums the step costs of all D! orderings and takes the least;
 for larger D, a layered subset DP in the style of Held-Karp finds it in
@@ -34,7 +38,8 @@ half of the DP's time at D = 4 and 5, and lost to it past about 30
 components at D = 6 and past one at D = 7.  Neither reads the node budget.
 Only a component of more than DP_MAX elements goes to `_minimize_component`:
 a mass-greedy incumbent, then a best-first search that bounds each new state
-once, batched per expansion in `_chord_bounds`, and returns the greedy value
+once, batched per expansion in `_chord_bounds` over the holder runs that
+`_holder_runs` finds once per component, and returns the greedy value
 as a flagged upper bound when the budget runs out.
 In the acceptance scenarios that happens in criterion 7's windows 5 and 6
 (32 and 64 elements) and in four components of 31 to 63 elements in
@@ -42,8 +47,9 @@ criterion 10, which the search closes at its root.
 
 All of that up to the masses depends only on the family pair and on which
 words have positive weight.  `_solve_plan` builds it in one Python pass over
-the positive-weight memberships, and only its finished fields become arrays,
-so that a one-shot solve on a few memberships pays a few numpy calls.  U
+the positive-weight memberships of U's cells, and its finished fields become
+arrays in one conversion, so that a one-shot solve on a few memberships pays
+a few numpy calls.  U
 keeps one plan, keyed by the conditioner (by identity), the support w > 0
 and DP_MAX and _DP_CHUNK.  A rate loop over measures of one support, such as
 `principles.variational_search` (every allowed transition positive), then
@@ -103,7 +109,7 @@ class EntropyValue:
 def _phi_sum(x: np.ndarray) -> float:
     """Sum of phi over the entries of x, in one vectorised pass."""
     x = x[x > 0.0]
-    return float(np.sum(-x * np.log(x)))
+    return float((-x * np.log(x)).sum())
 
 
 def shannon(weights) -> EntropyValue:
@@ -118,21 +124,23 @@ def shannon(weights) -> EntropyValue:
     return EntropyValue(_phi_sum(w), EXACT, 0.0)
 
 
-def _partition_entropy(w, lab_a, n_a: int, lab_b) -> float:
-    """H(alpha | beta) for partitions given by one label per word (alpha's
-    in 0..n_a-1), computed both as H(alpha v beta) - H(beta) and as the sum
-    of mu(B) phi(mu(C) / mu(B)) over the cells C of the join, B the atom
-    holding C.  The two must agree to 1e-9; the atom route is returned.
-    Only the labels of positive-weight words are read, so a zero-weight word
-    may carry any label, -1 included."""
-    pos = w > 0.0
-    wp = w[pos]
-    keys, cell_of = np.unique(lab_b[pos] * n_a + lab_a[pos], return_inverse=True)
-    cells = np.bincount(cell_of, weights=wp)
-    atoms = np.bincount(lab_b[pos], weights=wp)
+def _partition_entropy(wp, atom, cell, cell_atom) -> float:
+    """H(alpha | beta) from the positive-weight words: their weights wp, their
+    atoms of beta and their cells of alpha v beta, numbered so that cell c
+    lies in atom cell_atom[c]; a cell that holds none of them is skipped.
+    Every word's cell must lie in the word's own atom.  Computed both as
+    H(alpha v beta) - H(beta) and as the sum of mu(B) phi(mu(C) / mu(B))
+    over the cells C of the join, B the atom holding C; the two must agree
+    to 1e-9, and the atom route is returned."""
+    if (cell_atom[cell] != atom).any():
+        raise RouteDisagreement("a cell of the join leaves the atom of its word")
+    cells = np.bincount(cell, weights=wp, minlength=len(cell_atom))
+    held = cells > 0.0
+    cells, cell_atom = cells[held], cell_atom[held]
+    atoms = np.bincount(atom, weights=wp)
     route_join = _phi_sum(cells) - _phi_sum(atoms)
-    ratio = cells / atoms[keys // n_a]  # cell mass over its atom's mass
-    route_atoms = float(np.sum(-cells * np.log(ratio)))
+    ratio = cells / atoms[cell_atom]  # cell mass over its atom's mass
+    route_atoms = float((-cells * np.log(ratio)).sum())
     if abs(route_join - route_atoms) > ROUTE_TOL:
         raise RouteDisagreement(
             f"join route {route_join!r} vs atom route {route_atoms!r}"
@@ -143,14 +151,18 @@ def _partition_entropy(w, lab_a, n_a: int, lab_b) -> float:
 def conditional_entropy(mu, alpha: SetFamily, beta: SetFamily) -> EntropyValue:
     """H(alpha | beta) for partitions, computed both as H(alpha v beta) -
     H(beta) and as the atom average of conditional entropies; the two must
-    agree to 1e-9 and the atom-average value is returned."""
+    agree to 1e-9 and the atom-average value is returned.  The cells of the
+    join are the distinct label pairs of the positive-weight words, ranked by
+    one `np.unique`."""
     if alpha.kind != PARTITION or beta.kind != PARTITION:
         raise EntropyError("conditional_entropy needs partitions")
     families._require_same_carrier(alpha, beta)
     w = measures.family_weights(mu, alpha)
-    h = _partition_entropy(
-        w, families.partition_labels(alpha), len(alpha), families.partition_labels(beta)
-    )
+    pos, n_a = w > 0.0, len(alpha)
+    atom = families.partition_labels(beta)[pos]
+    keys, cell = np.unique(atom * n_a + families.partition_labels(alpha)[pos],
+                           return_inverse=True)
+    h = _partition_entropy(w[pos], atom, cell, keys // n_a)
     return EntropyValue(max(h, 0.0), EXACT, 0.0)
 
 
@@ -251,9 +263,10 @@ def covering_number(U: SetFamily, beta: SetFamily) -> int:
         local.append(size.get(atom, 0))
         size[atom] = local[-1] + 1
     meeting: dict[int, dict[int, int]] = {}
-    for e, w in zip(*(a.tolist() for a in U.incidence())):
-        met = meeting.setdefault(atoms[w], {})  # elements ascending
-        met[e] = met.get(e, 0) | 1 << local[w]
+    for e, cell in enumerate(families._cells(U)):
+        for w in cell:
+            met = meeting.setdefault(atoms[w], {})  # elements ascending
+            met[e] = met.get(e, 0) | 1 << local[w]
     return max(_min_cover_size(bitsets.full_mask(size[atom]), list(met.values()))
                for atom, met in meeting.items())
 
@@ -309,23 +322,32 @@ def _mass_greedy(memb: np.ndarray, w: np.ndarray):
     return value, cells
 
 
-def _chord_bounds(memb: np.ndarray, w: np.ndarray, covered: np.ndarray) -> np.ndarray:
+def _holder_runs(memb: np.ndarray) -> tuple:
+    """What `_chord_bounds` reads of a component, found once per search: its
+    memberships as a (word, element) float matrix, every word's holders as
+    one run of a flat array, and where each run starts."""
+    holders = np.nonzero(memb.T)[1]  # by word: each word's run of holders
+    runs = memb.sum(axis=0)
+    return memb.T.astype(float), holders, runs.cumsum() - runs
+
+
+def _chord_bounds(comp: tuple, w: np.ndarray, covered: np.ndarray) -> np.ndarray:
     """Admissible lower bounds on the cost still to pay from each state of one
-    component, a row of the words its ordering prefix covers.  Each final cell
-    mass is at most its element's residual cap and phi lies above its chord
-    through the origin, so the cost is at least the chord sum (each residual
-    word's weight times the least -log(cap) of its holders), the floor fill
-    (the least sum of phi over parts of at most the largest cap that fill the
-    residual mass) and phi of the residual mass; the bound is their largest."""
+    component (given by `_holder_runs`), a row of the words its ordering
+    prefix covers.  Each final cell mass is at most its element's residual
+    cap and phi lies above its chord through the origin, so the cost is at
+    least the chord sum (each residual word's weight times the least
+    -log(cap) of its holders), the floor fill (the least sum of phi over
+    parts of at most the largest cap that fill the residual mass) and phi of
+    the residual mass; the bound is their largest."""
+    word_memb, holders, starts = comp
     resw = np.where(covered, 0.0, w)
-    caps = resw @ memb.T.astype(float)
+    caps = resw @ word_memb
     mrest = resw.sum(axis=1)
     # a residual word's holders all have a positive cap, so the floor at
     # _TINY only touches covered words, which weigh 0 here
     lam = -np.log(np.minimum(np.maximum(caps, _TINY), 1.0))
-    holders = np.nonzero(memb.T)[1]  # by word: each word's run of holders
-    runs = memb.sum(axis=0)
-    per_word = np.minimum.reduceat(lam[:, holders], runs.cumsum() - runs, axis=1)
+    per_word = np.minimum.reduceat(lam[:, holders], starts, axis=1)
     chord = (per_word * resw).sum(axis=1)
     # floor fill: whole parts of the largest cap, which is 0 only when
     # nothing weighs, then what is left
@@ -347,8 +369,9 @@ def _minimize_component(
     d, m = memb.shape
     incumbent, inc_cells = _mass_greedy(memb, w)
 
+    comp = _holder_runs(memb)
     start = bytes(m)
-    heap = [(float(_chord_bounds(memb, w, np.zeros((1, m), dtype=bool))[0]), 0, 0.0, start)]
+    heap = [(float(_chord_bounds(comp, w, np.zeros((1, m), dtype=bool))[0]), 0, 0.0, start)]
     best_g = {start: 0.0}
     parents: dict[bytes, tuple[bytes, int]] = {}
     nodes = 0
@@ -383,7 +406,7 @@ def _minimize_component(
                 parents[nstate] = (state, i)
                 better.append((j, ng, nstate))
         if better:
-            bounds = _chord_bounds(memb, w, children[[j for j, _, _ in better]])
+            bounds = _chord_bounds(comp, w, children[[j for j, _, _ in better]])
             for (_, ng, nstate), h in zip(better, bounds.tolist()):
                 if ng + h < incumbent - 1e-12:
                     heapq.heappush(heap, (ng + h, next(tick), ng, nstate))
@@ -505,7 +528,13 @@ def _solve_dp(regions: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
     DP finds the least sum (`_layered_dp`).  Both take every step cost from
     the same kernel, `_entr`, add the costs in the same order, and a sum's
     rounding is monotone in its first term, so they return the same minima,
-    bit for bit; only a tie between orderings may break the other way."""
+    bit for bit; only a tie between orderings may break the other way.
+
+    At D = 1 the one ordering's one step takes room[{}] - room[{0}] = (r1 +
+    0.0) - 0.0, which is r1 = regions[c, 1] itself, as no word lies in no
+    element; so phi of the masses is returned directly, bit for bit."""
+    if D == 1:
+        return _entr(regions[:, 1].copy()), np.zeros((len(regions), 1), dtype=np.intp)
     room = _room(regions, D)
     if D <= _ORDER_MAX:
         return _min_over_orderings(room, D)
@@ -540,7 +569,7 @@ def _layered_dp(room: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
             cand = _entr(room[:, pv] - room[:, None, lo:hi])
             cand += best[:, pv]
             arg = cand.argmin(axis=1)
-            np.min(cand, axis=1, out=best[:, lo:hi])
+            cand.min(axis=1, out=best[:, lo:hi])
             pred[:, lo:hi] = pv[arg, np.arange(hi - lo)]
     # walk the optimal ordering back from the full set; the element placed
     # at each step is the bit by which consecutive sets differ, and sorting
@@ -570,7 +599,7 @@ def _min_over_orderings(room: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarra
         for k in range(1, D):
             total += cost[:, walk[k]]
         arg = total.argmin(axis=1)
-        np.min(total, axis=1, out=values[lo : lo + step])
+        total.min(axis=1, out=values[lo : lo + step])
         rank[lo : lo + step] = ranks[arg]
     return values, rank
 
@@ -594,29 +623,38 @@ class _SolvePlan:
     """What H(U|beta) needs of a family pair and a weight support, before any
     mass is read: the overlap components and their atoms, the words the DPs
     read, each DP group's region keys, the gather that gives each word its
-    holder of least rank, and the memberships of the larger components."""
+    holder of least rank, and the memberships of the larger components.  A
+    word is named by its place among the positive-weight words, which keeps
+    the order of the words."""
 
     comp_atom: np.ndarray  # each component's atom
+    word_atom: np.ndarray  # each positive-weight word's atom
     word_ids: np.ndarray  # the DP components' words, ascending
     word_comp: np.ndarray  # the component of each of them
     first: np.ndarray  # where each word's (holder) run starts in the gather
     groups: list  # per DP: (D, components, words, region keys, region count)
-    holder_comp: np.ndarray  # the gather: component, slot and element
-    holder_slot: np.ndarray  # of every DP holder, by word
-    holder_elem: np.ndarray
-    big: list  # (component, words, memberships, elements) past DP_MAX
+    holder_at: np.ndarray  # the gather, by word: each DP holder's place in
+    holder_row: np.ndarray  # the (component, slot) rank array, and its row
+    row_atom: np.ndarray  # each kept (atom, element) row's atom
+    big: list  # (component, words, memberships, rows) past DP_MAX
 
 
-def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
-    """The plan of H(U|beta) under any weights w with the same support w > 0;
-    only the support is read."""
-    ints = functools.partial(np.array, dtype=np.int64)
-    elems, words = U.incidence()
-    pos = w[words] > 0.0
-    atoms = families.partition_labels(beta)[words[pos]]
+def _solve_plan(U: SetFamily, beta: SetFamily, support: np.ndarray) -> _SolvePlan:
+    """The plan of H(U|beta) under any weights whose support w > 0 is
+    `support`.  Built in Python lists from U's cells, as a one-shot solve
+    reads a few memberships, where each numpy call costs more than the loop;
+    only the finished fields become arrays."""
+    atom_of = families.partition_labels(beta)
+    word_atom = atom_of[support]
+    atom_of, place, n_pos = atom_of.tolist(), [], 0
+    for held in support.tolist():  # each word's place among the positive ones
+        place.append(n_pos if held else -1)
+        n_pos += held
     rows: dict[tuple, list] = {}  # (atom, element): its positive-weight words
-    for a, e, x in zip(atoms.tolist(), elems[pos].tolist(), words[pos].tolist()):
-        rows.setdefault((a, e), []).append(x)
+    for e, cell in enumerate(families._cells(U)):
+        for x in cell:
+            if place[x] >= 0:
+                rows.setdefault((atom_of[x], e), []).append(place[x])
     # rows by atom and element; a row that holds the same words as an earlier
     # one (of its atom, as a word lies in one atom) gets an empty cell in every
     # ordering, so it leaves, whatever the size of its component
@@ -642,11 +680,12 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
     # holder pattern and its run of the gather; in a larger one, its holders
     word_ids, word_comp, first, gather = [], [], [], []
     comp_words: list[list] = [[] for _ in comp_rows]
+    bit = [1 << s for s in slot]
     for x in sorted(holders):
         held = holders[x]
         c = comp_of_row[held[0]]
         if dims[c]:
-            comp_words[c].append((len(word_ids), sum(1 << slot[r] for r in held)))
+            comp_words[c].append((len(word_ids), sum(map(bit.__getitem__, held))))
             word_ids.append(x)
             word_comp.append(c)
             first.append(len(gather))
@@ -657,27 +696,43 @@ def _solve_plan(U: SetFamily, beta: SetFamily, w: np.ndarray) -> _SolvePlan:
     # components of one size d, or of sizes up to d = _DP_SHARED, so that one
     # DP holds a bounded number of regions; a group is solved at the size D of
     # its last, largest component, and its words run by component, then by word
-    order, groups = sorted((c for c, d in enumerate(dims) if d), key=dims.__getitem__), []
+    order, runs = sorted((c for c, d in enumerate(dims) if d), key=dims.__getitem__), []
     for d, run in itertools.groupby(order, key=lambda c: max(dims[c], _DP_SHARED)):
         run, step = list(run), max(1, _DP_CHUNK >> d)
-        groups += [run[i : i + step] for i in range(0, len(run), step)]
-    groups = [(D, ints(cs), ints([i for c in cs for i, _ in comp_words[c]]),
-               ints([(local << D) + p for local, c in enumerate(cs) for _, p in comp_words[c]]),
-               len(cs) << D) for cs in groups for D in [dims[cs[-1]]]]
+        runs += [run[i : i + step] for i in range(0, len(run), step)]
+    dp_lists = []  # per group: its components, words and region keys
+    for cs in runs:
+        D = dims[cs[-1]]
+        dp_lists += [cs, [i for c in cs for i, _ in comp_words[c]],
+                     [(local << D) + p for local, c in enumerate(cs) for _, p in comp_words[c]]]
 
     # larger components: their memberships, for the best-first search
-    big = []
+    big, big_lists = [], []
     for c in (c for c, D in enumerate(dims) if not D):
         memb = np.zeros((len(comp_rows[c]), len(comp_words[c])), dtype=bool)
         memb[[slot[r] for _, held in comp_words[c] for r in held],
              [j for j, (_, held) in enumerate(comp_words[c]) for _ in held]] = True
-        big.append((c, ints([x for x, _ in comp_words[c]]), memb,
-                    ints([row_keys[r][1] for r in comp_rows[c]])))
-    return _SolvePlan(
-        ints([row_keys[rs[0]][0] for rs in comp_rows]), ints(word_ids), ints(word_comp),
-        ints(first), groups, ints([comp_of_row[r] for r in gather]),
-        ints([slot[r] for r in gather]), ints([row_keys[r][1] for r in gather]), big,
-    )
+        big.append((c, memb))
+        big_lists += [[x for x, _ in comp_words[c]], comp_rows[c]]
+    (row_atom, comp_atom, word_ids, word_comp, first, holder_at, holder_row,
+     *rest) = _int_arrays(
+        [a for a, _ in row_keys], [row_keys[rs[0]][0] for rs in comp_rows], word_ids,
+        word_comp, first, [comp_of_row[r] * DP_MAX + slot[r] for r in gather], gather,
+        *dp_lists, *big_lists)
+    rest = iter(rest)  # the group and large-component arrays, in order
+    groups = [(D, next(rest), next(rest), next(rest), len(cs) << D)
+              for cs in runs for D in [dims[cs[-1]]]]
+    big = [(c, next(rest), memb, next(rest)) for c, memb in big]
+    return _SolvePlan(comp_atom, word_atom, word_ids, word_comp, first, groups,
+                      holder_at, holder_row, row_atom, big)
+
+
+def _int_arrays(*lists) -> list[np.ndarray]:
+    """The lists of ints as int64 arrays: views of one array, made by one
+    conversion, as converting a short list costs about a microsecond."""
+    flat = np.fromiter(itertools.chain(*lists), np.int64)
+    ends = list(itertools.accumulate(map(len, lists)))
+    return [flat[end - len(part) : end] for part, end in zip(lists, ends)]
 
 
 def conditional_cover_entropy(
@@ -695,6 +750,12 @@ def conditional_cover_entropy(
     `ustar_budget`) takes the exhaustive minimum.  All routes must agree to
     1e-9 whenever the searches are exact.
 
+    Route B's glued partition is read joined with beta: each positive-weight
+    word goes to the (atom, element) row of its holder of least rank, and
+    `_partition_entropy` takes those rows as the cells, checking that each
+    lies in its words' own atom.  A DP group of one-element components
+    returns phi of each component's mass (`_solve_dp`).
+
     The first call on (U, beta) builds a `_SolvePlan` and keeps it on U, so
     that a later call with weights of the same support only reads masses;
     another conditioner, support, DP_MAX or _DP_CHUNK builds a new one."""
@@ -711,40 +772,42 @@ def conditional_cover_entropy(
 
     # one plan per family U, for its last conditioner and support, so that a
     # loop over many conditioners holds one plan at a time
-    support, limits = w > 0.0, (DP_MAX, _DP_CHUNK)
+    support = w > 0.0
+    key = (DP_MAX, _DP_CHUNK, support.tobytes())
     got = U._cache.get("solve_plan")
-    if not (got and got[0] is beta and got[1] == limits and np.array_equal(got[2], support)):
-        got = (beta, limits, support, _solve_plan(U, beta, w))
+    if not (got and got[0] is beta and got[1] == key):
+        got = (beta, key, _solve_plan(U, beta, support))
         U._cache["solve_plan"] = got
-    plan = got[3]
+    plan, wp = got[2], w[support]
 
     # route A: each component's minimum relative to its atom, weighted by it
     comp_base = base_masses[plan.comp_atom]
-    word_mass = w[plan.word_ids] / comp_base[plan.word_comp]
+    word_mass = wp[plan.word_ids] / comp_base[plan.word_comp]
     values = np.zeros(len(comp_base))
     rank = np.zeros((len(comp_base), DP_MAX), dtype=np.int64)
     for D, comps, ws, keys, length in plan.groups:
         regions = np.bincount(keys, weights=word_mass[ws], minlength=length)
         values[comps], rank[comps, :D] = _solve_dp(regions.reshape(-1, 1 << D), D)
     route_a = float(comp_base @ values)
-    # route B's glued partition as one U-index per word, each word going to
-    # its holder of least rank; words of null atoms and zero-weight words
-    # keep -1, as they change neither formula
-    glue = np.full(U.universe_size, -1, dtype=np.int64)
-    first_holder = rank[plan.holder_comp, plan.holder_slot] * len(U) + plan.holder_elem
-    glue[plan.word_ids] = np.minimum.reduceat(first_holder, plan.first) % len(U)
+    # route B's glued partition, joined with beta: each positive-weight word
+    # goes to the (atom, element) row of its holder of least rank, so the
+    # rows are the cells of the join
+    glue = np.full(len(wp), -1, dtype=np.int64)
+    n_rows = len(plan.row_atom)
+    first_holder = rank.ravel()[plan.holder_at] * n_rows + plan.holder_row
+    glue[plan.word_ids] = np.minimum.reduceat(first_holder, plan.first) % n_rows
 
     # larger components: the best-first search, within the node budget
     method = BRANCH_AND_BOUND
-    for c, cols, memb, members in plan.big:
+    for c, cols, memb, rows in plan.big:
         base = float(comp_base[c])
-        val, cells, closed, _ = _minimize_component(memb, w[cols] / base, node_budget)
+        val, cells, closed, _ = _minimize_component(memb, wp[cols] / base, node_budget)
         route_a += base * val
         if not closed:
             method = HEURISTIC
-        for e, cell in zip(members, cells):
-            glue[cols[cell]] = e
-    route_b = _partition_entropy(w, glue, len(U), lab_b)
+        for r, cell in zip(rows, cells):
+            glue[cols[cell]] = r
+    route_b = _partition_entropy(wp, plan.word_atom, glue, plan.row_atom)
 
     if abs(route_a - route_b) > ROUTE_TOL:
         raise RouteDisagreement(
@@ -756,11 +819,10 @@ def conditional_cover_entropy(
         if not enum.refused:
             # every assignment at once, as the (candidate, atom, element) cells
             # of its positive-weight words: O(ustar_budget x words) entries
-            pos = w > 0.0
-            lab = enum.labels()[:, pos]
-            keys = (np.arange(len(lab))[:, None] * len(beta) + lab_b[pos]) * len(U)
+            lab = enum.labels()[:, support]
+            keys = (np.arange(len(lab))[:, None] * len(beta) + lab_b[support]) * len(U)
             keys, cell_of = np.unique((keys + lab).ravel(), return_inverse=True)
-            cells = np.bincount(cell_of, weights=np.tile(w[pos], len(lab)))
+            cells = np.bincount(cell_of, weights=np.tile(wp, len(lab)))
             ratio = cells / base_masses[keys // len(U) % len(beta)]
             cand = keys // (len(U) * len(beta))
             route_c = float(np.bincount(cand, weights=-cells * np.log(ratio)).min())

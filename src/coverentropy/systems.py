@@ -285,13 +285,12 @@ def permutation_power_table(sys: SymbolicSystem, n: int) -> np.ndarray:
     return out
 
 
-def permutation_cycles(sys: SymbolicSystem) -> list[tuple[int, ...]]:
-    """Cycles of the bijection, each starting at its smallest member,
-    ordered by that member."""
-    m = sys.mapping
-    seen = [False] * len(m)
+def cycles_of(mapping) -> list[tuple[int, ...]]:
+    """Cycles of a bijection on 0..n-1 given as its table, each starting at
+    its smallest member, ordered by that member."""
+    seen = [False] * len(mapping)
     cycles = []
-    for start in range(len(m)):
+    for start in range(len(mapping)):
         if seen[start]:
             continue
         cyc = []
@@ -299,8 +298,18 @@ def permutation_cycles(sys: SymbolicSystem) -> list[tuple[int, ...]]:
         while not seen[x]:
             seen[x] = True
             cyc.append(x)
-            x = m[x]
+            x = mapping[x]
         cycles.append(tuple(cyc))
+    return cycles
+
+
+def permutation_cycles(sys: SymbolicSystem) -> tuple[tuple[int, ...], ...]:
+    """`cycles_of` the system's table, found once per system and kept on it,
+    so that its measures and their checks share one pass."""
+    cycles = sys.__dict__.get("_cycles")
+    if cycles is None:
+        cycles = tuple(cycles_of(sys.mapping))
+        object.__setattr__(sys, "_cycles", cycles)  # not a field: eq and hash skip it
     return cycles
 
 

@@ -54,37 +54,41 @@ def rand_point_instance(
     ustar_cap: Optional[int] = None,
 ) -> dict:
     """A permutation system, a rational cycle measure, one or more random
-    covers, and a couple of random partitions, as a plain serializable dict."""
+    covers, and a couple of random partitions, as a plain serializable dict.
+
+    Each cover's memberships are one (d, n) bool array: its labels, then one
+    `rng.random((d, n))` for the extra points, which draws what d calls of
+    `rng.random(n)` would, in the same order; so do the cycle weights, drawn
+    as one array.  A cover is redrawn while an element is empty or its
+    finer-partition count (the product over points of their holders) passes
+    `ustar_cap`."""
     n = int(rng.integers(3, max_points + 1))
-    perm = list(rng.permutation(n))
+    perm = rng.permutation(n).tolist()
     covers = []
     for _ in range(n_families):
         while True:
             d = int(rng.integers(2, max_elements + 1))
             labels = rng.integers(0, d, size=n)
             labels[rng.integers(0, n)] = 0  # keep element 0 nonempty-ish
-            elems = [set(np.nonzero(labels == m)[0].tolist()) for m in range(d)]
-            for m in range(d):
-                extra = rng.random(n) < 0.25
-                elems[m] |= set(np.nonzero(extra)[0].tolist())
-            if any(not e for e in elems):
+            memb = labels == np.arange(d)[:, None]
+            memb |= rng.random((d, n)) < 0.25
+            rows = memb.tolist()  # Python lists beat numpy calls at this size
+            if not all(map(any, rows)):
                 continue
-            total = 1
-            for x in range(n):
-                total *= sum(1 for e in elems if x in e)
-            if ustar_cap is not None and total > ustar_cap:
+            if ustar_cap is not None and math.prod(map(sum, zip(*rows))) > ustar_cap:
                 continue
-            covers.append([sorted(e) for e in elems])
+            covers.append([[x for x, held in enumerate(row) if held] for row in rows])
             break
     parts = []
     for _ in range(2):
         d = int(rng.integers(1, max_elements + 1))
-        labels = rng.integers(0, d, size=n)
-        parts.append([sorted(np.nonzero(labels == m)[0].tolist()) for m in range(d)])
-    n_cycles = len(systems.permutation_cycles(systems.permutation(perm)))
-    cycle_weights = [int(rng.integers(1, 10)) for _ in range(n_cycles)]
+        cells = [[] for _ in range(d)]
+        for x, m in enumerate(rng.integers(0, d, size=n).tolist()):
+            cells[m].append(x)
+        parts.append(cells)
+    cycle_weights = rng.integers(1, 10, size=len(systems.cycles_of(perm))).tolist()
     return {
-        "perm": [int(v) for v in perm],
+        "perm": perm,
         "cycle_weights": cycle_weights,
         "covers": covers,
         "partitions": parts,
@@ -157,8 +161,7 @@ def _drop_point(inst: dict, p: int) -> Optional[dict]:
     if sorted(new_perm) != list(range(n - 1)):
         return None
     out = {"perm": new_perm}
-    sys = systems.permutation(new_perm)
-    n_cycles = len(systems.permutation_cycles(sys))
+    n_cycles = len(systems.cycles_of(new_perm))
     out["cycle_weights"] = (inst["cycle_weights"] * n_cycles)[:n_cycles]
     covers = []
     for cov in inst["covers"]:

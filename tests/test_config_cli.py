@@ -516,3 +516,24 @@ def test_cycle_measure_on_a_word_system_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "INVALID_MEASURE" in err and "cycle measures live on permutation systems" in err
+
+
+def test_window_on_a_point_carrier_family_exits_2(tmp_path, capsys):
+    # a point carrier has no windows, so a family's window key is refused,
+    # not ignored
+    doc = {
+        "system": {"kind": "permutation", "mapping": [1, 0, 2]},
+        "measures": {"uni": {"kind": "cycles", "weights": [0.5, 0.5]}},
+        "families": {
+            "pair": {"kind": "cover", "elements": [[0, 1], [1, 2]], "window": 7},
+            "whole": {"kind": "partition", "elements": [[0, 1, 2]]},
+        },
+        "tasks": [{"kind": "static", "measure": "uni", "cover": "pair",
+                   "conditioner": "whole"}],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "INVALID_FAMILY" in err and "point-carrier families have no window" in err
+    assert "Traceback" not in err

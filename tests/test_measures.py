@@ -224,6 +224,33 @@ def test_cycle_measure_validates_constancy():
         )
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([math.nan, math.nan, 1.0], "point weights are not a probability vector"),
+    ([math.inf, math.inf, 0.0], "point weights are not a probability vector"),
+    ([-math.inf, -math.inf, 1.0], "point weights are not a probability vector"),
+    ([math.inf, math.inf, -math.inf], "point weights are not a probability vector"),
+    ([0.6, 0.6, -0.2], "point weights are not a probability vector"),
+    ([0.25, 0.25, 0.25], "point weights are not a probability vector"),
+    ([], "point weights are not a probability vector"),
+    ([0.5, 0.25, 0.25], "weights not constant on a cycle"),
+    ([0.4, 0.4 + 2e-12, 0.2 - 2e-12], "weights not constant on a cycle"),
+])
+def test_point_weights_are_checked(weights, message):
+    # the checks of a cycle-weighted measure: finite, nonnegative weights that
+    # sum to 1 and are constant on each cycle of (0 1)(2)
+    sys = ce.permutation([1, 0, 2])
+    with pytest.raises(measures.MeasureError, match=re.escape(message)):
+        measures.InvariantMeasure(measures.PERMUTATION, sys, point_weights=np.array(weights))
+
+
+def test_point_weights_within_the_tolerances_are_kept():
+    sys = ce.permutation([1, 0, 2])
+    for weights in ([0.4, 0.4 + 5e-13, 0.2 - 5e-13], [0.5, 0.5, -0.0], [0.3, 0.3, 0.4 + 5e-11]):
+        mu = measures.InvariantMeasure(measures.PERMUTATION, sys,
+                                       point_weights=np.array(weights))
+        assert mu.point_weights.tolist() == weights
+
+
 def test_cycle_measure_refuses_a_word_system(gm):
     with pytest.raises(measures.MeasureError, match="cycle measures live on permutation systems"):
         ce.cycle_measure(gm, [1.0])

@@ -465,6 +465,21 @@ def test_padding_keeps_minima_and_first_holders(data):
         assert first_holders(padded_rank) == first_holders(rank)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=12))
+def test_one_element_groups_return_phi_of_their_masses(masses):
+    # at D = 1 the one ordering's one step takes (r1 + 0.0) - 0.0 = r1, so
+    # phi of the masses, returned without the ordering kernel, equals the
+    # kernel's minimum and rank bit for bit, zero masses included
+    regions = np.zeros((len(masses), 2))
+    regions[:, 1] = masses
+    values, rank = static_entropy._solve_dp(regions.copy(), 1)
+    kernel_values, kernel_rank = static_entropy._min_over_orderings(
+        static_entropy._room(regions, 1), 1)
+    assert np.array_equal(values, kernel_values)
+    assert np.array_equal(rank, kernel_rank)
+
+
 def test_small_components_share_one_dp_at_their_largest_size(gm):
     # the golden-mean cover of the variational benchmark, conditioned on the
     # joined 1-cylinders: every component has one element, so each call
@@ -758,7 +773,8 @@ def test_chord_bounds_are_admissible_and_match_the_per_state_form(data):
         order = data.draw(st.permutations(range(d)))
         placed = order[: data.draw(st.integers(0, d))]
         states.append(np.any(memb[placed], axis=0) if placed else np.zeros(m, dtype=bool))
-    bounds = static_entropy._chord_bounds(memb, w, np.array(states))
+    bounds = static_entropy._chord_bounds(static_entropy._holder_runs(memb), w,
+                                          np.array(states))
     assert bounds.shape == (len(states),)
     for covered, bound in zip(states, bounds):
         assert bound <= _cost_to_go(memb, w, covered) + 1e-12
