@@ -54,10 +54,16 @@ keeps one plan, keyed by the conditioner (by identity), the support w > 0
 and DP_MAX and _DP_CHUNK.  A rate loop over measures of one support, such as
 `principles.variational_search` (every allowed transition positive), then
 only bins the masses, runs the DPs, glues and checks the routes per measure.
+Many one-shot solves, such as the property suites' thousands of small
+instances, instead share one plan: `_conditional_cover_entropies` stacks
+their pairs over the disjoint union of their carriers and makes one DP call
+per group for all of them, with the same values bit for bit, and
+`conditional_cover_entropy` is its case of one pair.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -132,7 +138,7 @@ def _partition_entropy(wp, atom, cell, cell_atom) -> float:
     H(alpha v beta) - H(beta) and as the sum of mu(B) phi(mu(C) / mu(B))
     over the cells C of the join, B the atom holding C; the two must agree
     to 1e-9, and the atom route is returned."""
-    if (cell_atom[cell] != atom).any():
+    if np.count_nonzero(cell_atom[cell] != atom):
         raise RouteDisagreement("a cell of the join leaves the atom of its word")
     cells = np.bincount(cell, weights=wp, minlength=len(cell_atom))
     held = cells > 0.0
@@ -625,7 +631,10 @@ class _SolvePlan:
     read, each DP group's region keys, the gather that gives each word its
     holder of least rank, and the memberships of the larger components.  A
     word is named by its place among the positive-weight words, which keeps
-    the order of the words."""
+    the order of the words.  A plan may stack several pairs over the
+    disjoint union of their carriers: words, atoms, elements and rows are
+    numbered one pair after another, so no component crosses two pairs, and
+    each pair's words and components form one run."""
 
     comp_atom: np.ndarray  # each component's atom
     word_atom: np.ndarray  # each positive-weight word's atom
@@ -636,25 +645,33 @@ class _SolvePlan:
     holder_at: np.ndarray  # the gather, by word: each DP holder's place in
     holder_row: np.ndarray  # the (component, slot) rank array, and its row
     row_atom: np.ndarray  # each kept (atom, element) row's atom
-    big: list  # (component, words, memberships, rows) past DP_MAX
+    spans: list  # per pair: its words and its components (lo, hi), first atom
+    big: list  # per pair: (component, words, memberships, rows) past DP_MAX
 
 
-def _solve_plan(U: SetFamily, beta: SetFamily, support: np.ndarray) -> _SolvePlan:
+def _solve_plan(U: SetFamily, beta: SetFamily, support: np.ndarray, *more) -> _SolvePlan:
     """The plan of H(U|beta) under any weights whose support w > 0 is
-    `support`.  Built in Python lists from U's cells, as a one-shot solve
+    `support`, stacked with those of the further (U, beta, support) triples
+    in `more`.  Built in Python lists from U's cells, as a one-shot solve
     reads a few memberships, where each numpy call costs more than the loop;
     only the finished fields become arrays."""
-    atom_of = families.partition_labels(beta)
-    word_atom = atom_of[support]
-    atom_of, place, n_pos = atom_of.tolist(), [], 0
-    for held in support.tolist():  # each word's place among the positive ones
-        place.append(n_pos if held else -1)
-        n_pos += held
     rows: dict[tuple, list] = {}  # (atom, element): its positive-weight words
-    for e, cell in enumerate(families._cells(U)):
-        for x in cell:
-            if place[x] >= 0:
-                rows.setdefault((atom_of[x], e), []).append(place[x])
+    word_atom, starts = [], []  # each pair's first word and first atom
+    n_pos = n_atoms = n_elems = 0
+    for U, beta, support in ((U, beta, support), *more):
+        starts.append((n_pos, n_atoms))
+        atom_of, place = (families.partition_labels(beta) + n_atoms).tolist(), []
+        for x, held in enumerate(support.tolist()):  # places among the positive words
+            if held:
+                word_atom.append(atom_of[x])
+            place.append(n_pos if held else -1)
+            n_pos += held
+        for e, cell in enumerate(families._cells(U), n_elems):
+            for x in cell:
+                if place[x] >= 0:
+                    rows.setdefault((atom_of[x], e), []).append(place[x])
+        n_atoms += len(beta)
+        n_elems += len(U)
     # rows by atom and element; a row that holds the same words as an earlier
     # one (of its atom, as a word lies in one atom) gets an empty cell in every
     # ordering, so it leaves, whatever the size of its component
@@ -675,6 +692,11 @@ def _solve_plan(U: SetFamily, beta: SetFamily, support: np.ndarray) -> _SolvePla
         slot.append(len(comp_rows[c]))
         comp_rows[c].append(r)
     dims = [len(rs) if len(rs) <= DP_MAX else 0 for rs in comp_rows]
+    # rows run by atom, so components, numbered by their first rows, run by
+    # atom too: each pair's components start at its first atom's
+    comp_atom = [row_keys[rs[0]][0] for rs in comp_rows]
+    spans = [(p0, p1, bisect.bisect_left(comp_atom, a0), bisect.bisect_left(comp_atom, a1), a0)
+             for (p0, a0), (p1, a1) in zip(starts, starts[1:] + [(n_pos, n_atoms)])]
 
     # each word, ascending: in a component of at most DP_MAX elements, its
     # holder pattern and its run of the gather; in a larger one, its holders
@@ -714,17 +736,19 @@ def _solve_plan(U: SetFamily, beta: SetFamily, support: np.ndarray) -> _SolvePla
              [j for j, (_, held) in enumerate(comp_words[c]) for _ in held]] = True
         big.append((c, memb))
         big_lists += [[x for x, _ in comp_words[c]], comp_rows[c]]
-    (row_atom, comp_atom, word_ids, word_comp, first, holder_at, holder_row,
+    (row_atom, comp_atom, word_atom, word_ids, word_comp, first, holder_at, holder_row,
      *rest) = _int_arrays(
-        [a for a, _ in row_keys], [row_keys[rs[0]][0] for rs in comp_rows], word_ids,
-        word_comp, first, [comp_of_row[r] * DP_MAX + slot[r] for r in gather], gather,
-        *dp_lists, *big_lists)
+        [a for a, _ in row_keys], comp_atom, word_atom, word_ids, word_comp, first,
+        [comp_of_row[r] * DP_MAX + slot[r] for r in gather], gather, *dp_lists, *big_lists)
     rest = iter(rest)  # the group and large-component arrays, in order
     groups = [(D, next(rest), next(rest), next(rest), len(cs) << D)
               for cs in runs for D in [dims[cs[-1]]]]
-    big = [(c, next(rest), memb, next(rest)) for c, memb in big]
+    big_of = [[] for _ in spans]  # components run by pair, so does big
+    for c, memb in big:
+        big_of[bisect.bisect_right(spans, c, key=lambda s: s[2]) - 1].append(
+            (c, next(rest), memb, next(rest)))
     return _SolvePlan(comp_atom, word_atom, word_ids, word_comp, first, groups,
-                      holder_at, holder_row, row_atom, big)
+                      holder_at, holder_row, row_atom, spans, big_of)
 
 
 def _int_arrays(*lists) -> list[np.ndarray]:
@@ -756,31 +780,84 @@ def conditional_cover_entropy(
     lies in its words' own atom.  A DP group of one-element components
     returns phi of each component's mass (`_solve_dp`).
 
-    The first call on (U, beta) builds a `_SolvePlan` and keeps it on U, so
-    that a later call with weights of the same support only reads masses;
-    another conditioner, support, DP_MAX or _DP_CHUNK builds a new one."""
-    if beta.kind != PARTITION:
-        raise EntropyError("conditioner must be a partition")
-    families._require_same_carrier(U, beta)
-    if U.kind == PARTITION:
-        # a partition is its own only ordered-difference partition, so the
-        # glued partition of route B is U and the partition formula is exact
-        return conditional_entropy(mu, U, beta)
-    w = measures.family_weights(mu, U)
-    lab_b = families.partition_labels(beta)
-    base_masses = np.bincount(lab_b, weights=w, minlength=len(beta))
+    This is `_conditional_cover_entropies` of the one triple (mu, U, beta),
+    raising what that entry returns in place of a value.  The first call on
+    (U, beta) builds a `_SolvePlan` and keeps it on U, so that a later call
+    with weights of the same support only reads masses; another conditioner,
+    support, DP_MAX or _DP_CHUNK builds a new one."""
+    (value,) = _conditional_cover_entropies([(mu, U, beta)], node_budget, ustar_budget)
+    if isinstance(value, Exception):
+        raise value
+    return value
 
-    # one plan per family U, for its last conditioner and support, so that a
-    # loop over many conditioners holds one plan at a time
-    support = w > 0.0
-    key = (DP_MAX, _DP_CHUNK, support.tobytes())
-    got = U._cache.get("solve_plan")
-    if not (got and got[0] is beta and got[1] == key):
-        got = (beta, key, _solve_plan(U, beta, support))
-        U._cache["solve_plan"] = got
-    plan, wp = got[2], w[support]
 
-    # route A: each component's minimum relative to its atom, weighted by it
+def _conditional_cover_entropies(
+    triples, node_budget: int = NODE_BUDGET_DEFAULT, ustar_budget: int = ROUTE_C_AUTO_BUDGET
+) -> list:
+    """H(U|beta) of each (mu, U, beta) in `triples`, or the exception that
+    `conditional_cover_entropy` raises on it: each entry is that one-shot
+    call's, bit for bit, whatever the other triples.
+
+    The covers are solved together: one `_SolvePlan` stacks them, and one
+    `_solve_dp` call per group solves the components of all of them, as a
+    component's minimum and first holders do not depend on the others in its
+    group, nor on padding (see DP_MAX).  Route A is then each triple's own
+    `comp_base @ values`, and the search past DP_MAX, route B, route C and
+    the heuristic flag are taken per triple.  Should the shared part raise,
+    each triple is solved alone, so that an error stays with its own triple.
+    A partition U goes to `conditional_entropy`, and one cover alone keeps
+    its plan on U."""
+    out: list = [None] * len(triples)
+    live = []  # (place, U, beta, weights, support) of each cover that reaches the solve
+    for k, (mu, U, beta) in enumerate(triples):
+        try:
+            if beta.kind != PARTITION:
+                raise EntropyError("conditioner must be a partition")
+            families._require_same_carrier(U, beta)
+            if U.kind == PARTITION:
+                # a partition is its own only ordered-difference partition, so the
+                # glued partition of route B is U and the partition formula is exact
+                out[k] = conditional_entropy(mu, U, beta)
+            else:
+                w = measures.family_weights(mu, U)
+                live.append((k, U, beta, w, w > 0.0))
+        except Exception as exc:  # the triple's own error, returned in its place
+            out[k] = exc
+    if not live:
+        return out
+    try:
+        _solve_stacked(live, out, node_budget, ustar_budget)
+    except Exception as exc:
+        if len(live) == 1:
+            out[live[0][0]] = exc
+        else:
+            for k, *_ in live:
+                (out[k],) = _conditional_cover_entropies([triples[k]], node_budget, ustar_budget)
+    return out
+
+
+def _solve_stacked(live: list, out: list, node_budget: int, ustar_budget: int) -> None:
+    """`_conditional_cover_entropies` of the covers in `live`: writes each
+    one's value, or the error its own routes raise, to its place in `out`.
+    Raises only from the part the covers share."""
+    if len(live) == 1:
+        # one plan per family U, for its last conditioner and support, so that
+        # a loop over many conditioners holds one plan at a time
+        _, U, beta, w, support = live[0]
+        key = (DP_MAX, _DP_CHUNK, support.tobytes())
+        got = U._cache.get("solve_plan")
+        if not (got and got[0] is beta and got[1] == key):
+            got = (beta, key, _solve_plan(U, beta, support))
+            U._cache["solve_plan"] = got
+        plan, wp = got[2], w[support]
+    else:
+        parts = [(U, beta, support) for _, U, beta, _, support in live]
+        plan = _solve_plan(*parts[0], *parts[1:])
+        wp = np.concatenate([w[support] for _, _, _, w, support in live])
+    # only the atoms of positive-weight words are ever read
+    base_masses = np.bincount(plan.word_atom, weights=wp)
+
+    # route A: each component's minimum relative to its atom
     comp_base = base_masses[plan.comp_atom]
     word_mass = wp[plan.word_ids] / comp_base[plan.word_comp]
     values = np.zeros(len(comp_base))
@@ -788,48 +865,57 @@ def conditional_cover_entropy(
     for D, comps, ws, keys, length in plan.groups:
         regions = np.bincount(keys, weights=word_mass[ws], minlength=length)
         values[comps], rank[comps, :D] = _solve_dp(regions.reshape(-1, 1 << D), D)
-    route_a = float(comp_base @ values)
     # route B's glued partition, joined with beta: each positive-weight word
     # goes to the (atom, element) row of its holder of least rank, so the
     # rows are the cells of the join
-    glue = np.full(len(wp), -1, dtype=np.int64)
+    glue = np.empty(len(wp), dtype=np.int64)
+    glue.fill(-1)  # half the cost of np.full on a few words
     n_rows = len(plan.row_atom)
     first_holder = rank.ravel()[plan.holder_at] * n_rows + plan.holder_row
     glue[plan.word_ids] = np.minimum.reduceat(first_holder, plan.first) % n_rows
 
-    # larger components: the best-first search, within the node budget
-    method = BRANCH_AND_BOUND
-    for c, cols, memb, rows in plan.big:
-        base = float(comp_base[c])
-        val, cells, closed, _ = _minimize_component(memb, wp[cols] / base, node_budget)
-        route_a += base * val
-        if not closed:
-            method = HEURISTIC
-        for r, cell in zip(rows, cells):
-            glue[cols[cell]] = r
-    route_b = _partition_entropy(wp, plan.word_atom, glue, plan.row_atom)
-
-    if abs(route_a - route_b) > ROUTE_TOL:
-        raise RouteDisagreement(
-            f"per-atom route {route_a!r} vs glued-partition route {route_b!r}"
-        )
-
-    if method != HEURISTIC and ustar_budget > 0:
-        enum = families.ustar_enumerate(U, ustar_budget)
-        if not enum.refused:
-            # every assignment at once, as the (candidate, atom, element) cells
-            # of its positive-weight words: O(ustar_budget x words) entries
-            lab = enum.labels()[:, support]
-            keys = (np.arange(len(lab))[:, None] * len(beta) + lab_b[support]) * len(U)
-            keys, cell_of = np.unique((keys + lab).ravel(), return_inverse=True)
-            cells = np.bincount(cell_of, weights=np.tile(wp, len(lab)))
-            ratio = cells / base_masses[keys // len(U) % len(beta)]
-            cand = keys // (len(U) * len(beta))
-            route_c = float(np.bincount(cand, weights=-cells * np.log(ratio)).min())
-            if abs(route_a - route_c) > ROUTE_TOL:
+    for (k, U, beta, _, support), (p0, p1, c0, c1, a0), big in zip(live, plan.spans, plan.big):
+        try:
+            # route A, weighted by the atoms; the search for the larger
+            # components, within the node budget
+            route_a = float(comp_base[c0:c1] @ values[c0:c1])
+            method = BRANCH_AND_BOUND
+            for c, cols, memb, rows in big:
+                base = float(comp_base[c])
+                val, cells, closed, _ = _minimize_component(memb, wp[cols] / base, node_budget)
+                route_a += base * val
+                if not closed:
+                    method = HEURISTIC
+                for r, cell in zip(rows, cells):
+                    glue[cols[cell]] = r
+            # rows and atoms keep their stacked numbers: the empty cells and
+            # atoms of the other covers are skipped
+            route_b = _partition_entropy(wp[p0:p1], plan.word_atom[p0:p1], glue[p0:p1],
+                                         plan.row_atom)
+            if abs(route_a - route_b) > ROUTE_TOL:
                 raise RouteDisagreement(
-                    f"per-atom route {route_a!r} vs exhaustive minimum {route_c!r}"
+                    f"per-atom route {route_a!r} vs glued-partition route {route_b!r}"
                 )
 
-    cert = None if method == HEURISTIC else 0.0
-    return EntropyValue(max(route_a, 0.0), method, cert)
+            if method != HEURISTIC and ustar_budget > 0:
+                enum = families.ustar_enumerate(U, ustar_budget)
+                if not enum.refused:
+                    # every assignment at once, as the (candidate, atom, element)
+                    # cells of its positive-weight words: O(ustar_budget x words)
+                    lab = enum.labels()[:, support]
+                    keys = (np.arange(len(lab))[:, None] * len(beta)
+                            + families.partition_labels(beta)[support]) * len(U)
+                    keys, cell_of = np.unique((keys + lab).ravel(), return_inverse=True)
+                    cells = np.bincount(cell_of, weights=np.tile(wp[p0:p1], len(lab)))
+                    ratio = cells / base_masses[a0:][keys // len(U) % len(beta)]
+                    cand = keys // (len(U) * len(beta))
+                    route_c = float(np.bincount(cand, weights=-cells * np.log(ratio)).min())
+                    if abs(route_a - route_c) > ROUTE_TOL:
+                        raise RouteDisagreement(
+                            f"per-atom route {route_a!r} vs exhaustive minimum {route_c!r}"
+                        )
+
+            cert = None if method == HEURISTIC else 0.0
+            out[k] = EntropyValue(max(route_a, 0.0), method, cert)
+        except Exception as exc:  # the triple's own error, returned in its place
+            out[k] = exc

@@ -4,13 +4,15 @@ counting-axioms suite within a small number of instances, and a route
 disagreement inside the partition formula must fail the properties that
 reach it instead of reading as "property holds"."""
 
+import copy
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from coverentropy import static_entropy, verify
+from coverentropy import static_entropy, systems, verify
 
 
 @pytest.mark.parametrize("spec", verify.PROPERTIES, ids=lambda s: s.name)
@@ -50,6 +52,85 @@ def test_route_disagreement_is_caught(monkeypatch):
         res = verify.run_property(spec, seed=42, count=20)
         assert not res.passed, name
         assert "RouteDisagreement" in res.counterexample["error"]
+
+
+def test_shrunk_concavity_counterexample_keeps_its_measures(monkeypatch):
+    # conditional entropy made convex in the measure fails concavity wherever
+    # the two measures differ; each dropped point must leave the instance its
+    # own second measure and mixing weight, one weight per surviving cycle
+    real = static_entropy.conditional_entropy
+    monkeypatch.setattr(static_entropy, "conditional_entropy",
+                        lambda mu, a, b: SimpleNamespace(nats=-real(mu, a, b).nats))
+    drawn, shrink = [], verify.shrink_point_instance
+
+    def spy(inst, still_fails):
+        drawn.append(copy.deepcopy(inst))
+        return shrink(inst, still_fails)
+
+    monkeypatch.setattr(verify, "shrink_point_instance", spy)
+    spec = next(p for p in verify.PROPERTIES if p.name == "static.concavity_in_measure")
+    res = verify.run_property(spec, seed=42, count=20)
+    ce = res.counterexample
+    assert not res.passed and "error" not in ce
+    assert len(ce["perm"]) < len(drawn[0]["perm"])  # points were dropped
+    n_cycles = len(systems.cycles_of(ce["perm"]))
+    assert len(ce["cycle_weights"]) == len(ce["cycle_weights_2"]) == n_cycles
+    assert ce["t"] == drawn[0]["t"]
+    assert verify._concavity_check(ce, *verify.build_point_instance(ce))
+
+
+def test_dropping_a_fixed_point_drops_its_own_weights():
+    inst = {"perm": [0, 2, 1], "cycle_weights": [8, 1], "cycle_weights_2": [8, 3],
+            "t": 0.25, "covers": [[[0, 2], [0, 1], [1]]],
+            "partitions": [[[2], [0, 1]], [[0, 1], [2]]]}
+    assert verify._drop_point(inst, 0) == {
+        "perm": [1, 0], "cycle_weights": [1], "cycle_weights_2": [3], "t": 0.25,
+        "covers": [[[1], [0], [0]]], "partitions": [[[1], [0]], [[0], [1]]]}
+    # point 0 leaves the cycle (0 2 1), which now starts at 1 and follows
+    # the fixed point 0 (formerly 3): the weights follow their cycles
+    inst = {"perm": [2, 0, 1, 3], "cycle_weights": [5, 7], "covers": [[[0, 1, 2, 3]]],
+            "partitions": [[[0, 1, 2, 3]], [[0, 1, 2, 3]]]}
+    assert verify._drop_point(inst, 0)["cycle_weights"] == [5, 7]
+    assert verify._drop_point(inst, 3)["cycle_weights"] == [5]
+
+
+def _fail_one_instance(monkeypatch, spec, seed, place):
+    """Make route B raise on the carrier weights of the instance at `place`
+    in the stream, and on no instance before it."""
+    rng = np.random.default_rng(seed)
+    weights = [verify.build_point_instance(spec.run.draw(rng))[1].point_weights
+               for _ in range(place + 1)]
+    assert [np.array_equal(w, weights[-1]) for w in weights].count(True) == 1
+    real = static_entropy._partition_entropy
+
+    def disagree(wp, *args):
+        if np.array_equal(wp, weights[-1]):
+            raise static_entropy.RouteDisagreement("tampered route B")
+        return real(wp, *args)
+
+    monkeypatch.setattr(static_entropy, "_partition_entropy", disagree)
+
+
+@pytest.mark.parametrize("tamper", ["none", "covering_number", "one_solve"])
+@pytest.mark.parametrize("name", ["static.route_equality", "static.entropy_axioms"])
+def test_property_block_size_changes_no_result(monkeypatch, name, tamper):
+    spec = next(p for p in verify.PROPERTIES if p.name == name)
+    if tamper == "covering_number":
+        monkeypatch.setattr(static_entropy, "covering_number", lambda U, beta: 1)
+    elif tamper == "one_solve":  # the 7th instance, inside the first block
+        _fail_one_instance(monkeypatch, spec, 42, 6)
+    results = []
+    for block in (1, verify.PROPERTY_BLOCK):
+        monkeypatch.setattr(verify, "PROPERTY_BLOCK", block)
+        results.append(verify.run_property(spec, seed=42, count=40))
+    assert results[0] == results[1]
+    if tamper == "one_solve":
+        assert results[1].tested == 7
+        assert results[1].counterexample["error"] == "RouteDisagreement: tampered route B"
+    elif tamper == "covering_number" and name == "static.entropy_axioms":
+        assert not results[1].passed
+    else:
+        assert (results[1].passed, results[1].tested) == (True, 40)
 
 
 def test_an_escaping_error_fails_the_property_and_the_suite(monkeypatch, capsys):

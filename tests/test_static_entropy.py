@@ -1049,3 +1049,79 @@ def test_one_shot_values_match_recorded():
         v = ce.conditional_cover_entropy(mu, U, beta, ustar_budget=row["ustar_budget"])
         assert (v.method, v.certificate) == (row["method"], row["certificate"])
         assert v.nats == pytest.approx(row["nats"], abs=1e-9)
+
+
+def _point_triple(data):
+    """A drawn (mu, U, beta) on a few points, each its own cycle, with zero
+    weights allowed; U is a cover or a partition, and about one triple in
+    eight has a cover as conditioner, which the solve refuses."""
+    m = data.draw(st.integers(1, 8))
+    sys = ce.permutation(list(range(m)))
+    weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=m,
+                                 max_size=m).filter(any))
+    mu = ce.cycle_measure(sys, [x / sum(weights) for x in weights])
+    if data.draw(st.booleans()):
+        elements = data.draw(st.lists(st.frozensets(st.integers(0, m - 1), min_size=1),
+                                      min_size=1, max_size=7))
+        missing = frozenset(range(m)).difference(*elements)
+        if missing:
+            elements[-1] = elements[-1] | missing
+        U = ce.family_of_points(sys, [sorted(e) for e in elements], "cover")
+    else:
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        U = ce.family_of_points(sys, [[x for x in range(m) if labels[x] == a]
+                                      for a in sorted(set(labels))], "partition")
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    atoms = [[x for x in range(m) if labels[x] == a] for a in sorted(set(labels))]
+    kind = "cover" if data.draw(st.integers(0, 7)) == 0 and len(atoms) > 1 else "partition"
+    return mu, U, ce.family_of_points(sys, atoms, kind)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return (isinstance(got, static_entropy.EntropyValue)
+            and (got.nats.hex(), got.method, got.certificate)
+            == (want.nats.hex(), want.method, want.certificate))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stacked_solves_equal_one_shot_solves(data):
+    # K triples solved at once give each one-shot value bit for bit, or its
+    # error at its own place, with route C on or off and with components sent
+    # to the search past a lowered DP_MAX, within a budget it may run out of
+    triples = [_point_triple(data) for _ in range(data.draw(st.integers(1, 8)))]
+    dp_max = data.draw(st.sampled_from([16, 3, 1]))
+    node_budget = data.draw(st.sampled_from([2, 10**7]))
+    ustar_budget = data.draw(st.sampled_from([0, 4096]))
+    with mock.patch.object(static_entropy, "DP_MAX", dp_max):
+        got = static_entropy._conditional_cover_entropies(triples, node_budget, ustar_budget)
+        for (mu, U, beta), value in zip(triples, got):
+            try:
+                want = ce.conditional_cover_entropy(mu, _fresh(U), _fresh(beta),
+                                                    node_budget, ustar_budget)
+            except Exception as exc:
+                want = exc
+            assert _same_outcome(value, want)
+
+
+def test_a_failing_stacked_solve_leaves_each_error_with_its_triple(three_points, overlap_cover):
+    # should the shared plan fail, every triple is solved alone: the triple
+    # whose plan fails gets the error, and the others their values
+    sys, mu = three_points
+    beta = ce.trivial_partition(sys, None)
+    bad = _fresh(overlap_cover)
+    real = static_entropy._solve_plan
+
+    def plan(U, *args):
+        if U is bad or any(more[0] is bad for more in args[2:]):
+            raise MemoryError("tampered plan")
+        return real(U, *args)
+
+    triples = [(mu, overlap_cover, beta), (mu, bad, beta), (mu, _fresh(overlap_cover), beta)]
+    with mock.patch.object(static_entropy, "_solve_plan", plan):
+        got = static_entropy._conditional_cover_entropies(triples)
+    want = ce.conditional_cover_entropy(mu, overlap_cover, beta)
+    assert got[0] == got[2] == want
+    assert isinstance(got[1], MemoryError)
